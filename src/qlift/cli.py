@@ -76,11 +76,10 @@ def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final=None, **kwargs) -> Tr
     bound = 0.01 / spec.fastest_rate
     dt0 = min(cfg.dt, bound)
     stride = max(1, round(cfg.tau / dt0))
-    n_samples = max(1, round(t_final / (stride * dt0)))
+    # dt0's sample count, raised where needed to the fewest that keep dt <= bound
+    n_samples = max(round(t_final / (stride * dt0)),
+                    math.ceil(t_final / (stride * bound * (1.0 + 1e-12))))
     dt = t_final / (n_samples * stride)
-    while dt > bound * (1.0 + 1e-12):
-        n_samples += 1
-        dt = t_final / (n_samples * stride)
     return TrajectoryConfig(dt=dt, t_final=t_final, seed=cfg.seed,
                             tau=stride * dt, **kwargs)
 

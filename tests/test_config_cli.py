@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from qlift import cli
 from qlift.cli import main
 from qlift.config import ConfigError, ExperimentConfig, load_config
+from qlift.dynamics import TrajectoryConfig
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -276,6 +278,50 @@ class TestCliCompare:
         # the two-qubit integration relaxes faster than the closed-form
         # model rate, and the table reports that gap rather than hiding it
         assert float(by_name["ancilla"][5]) > 100.0
+
+
+def grid_by_search(spec, cfg):
+    """Reference for cli._grid: the same dt rule, with dt shrunk by search."""
+    bound = 0.01 / spec.fastest_rate
+    dt0 = min(cfg.dt, bound)
+    stride = max(1, round(cfg.tau / dt0))
+    n_samples = max(1, round(cfg.t_final / (stride * dt0)))
+    dt = cfg.t_final / (n_samples * stride)
+    while dt > bound * (1.0 + 1e-12):
+        n_samples += 1
+        dt = cfg.t_final / (n_samples * stride)
+    return TrajectoryConfig(dt=dt, t_final=cfg.t_final, seed=cfg.seed, tau=stride * dt)
+
+
+class TestGrid:
+    @pytest.mark.parametrize("overrides", [
+        {},  # defaults, kappa/g = 100
+        dict(t_final=6.0),
+        dict(t_final=35.0, dt=0.01, tau=0.25),
+        dict(t_final=1.7, dt=0.013, tau=0.07),
+        dict(t_final=123.4, dt=0.5, tau=3.0),
+        dict(t_final=0.5, dt=0.5, tau=0.5),
+        dict(g=0.92, kappa=9.2),  # kappa/g = 10
+        dict(g=0.092, kappa=0.92),  # slow ancilla: the configured dt is kept
+        dict(g=9.2, kappa=920.0, t_final=10.0),  # kappa/g = 100, rates x10
+        dict(gamma=0.2, eta_list=(0.25, 0.75), t_final=77.7, tau=1.1),
+    ])
+    def test_direct_dt_matches_search(self, overrides):
+        cfg = ExperimentConfig(**overrides).validate()
+        for _, spec, _, _ in cli._scheme_specs(cfg):
+            got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
+            assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
+
+    def test_direct_dt_matches_search_over_a_sweep(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            cfg = ExperimentConfig(t_final=float(rng.uniform(0.2, 400.0)),
+                                   dt=float(10 ** rng.uniform(-4, 0)),
+                                   tau=float(10 ** rng.uniform(-2, 0.5)),
+                                   kappa=0.92 * float(10 ** rng.uniform(0, 3))).validate()
+            for _, spec, _, _ in cli._scheme_specs(cfg):
+                got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
+                assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
 
 
 class TestCliPlumbing:

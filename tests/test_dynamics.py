@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from qlift import dynamics
 from qlift.dynamics import (
     IntegrationError,
     SchemeKind,
@@ -30,6 +31,7 @@ from qlift.operators import (
     check_density,
     dissipator,
     excited_state,
+    hermitize,
     partial_trace_ancilla,
     tensor,
 )
@@ -37,6 +39,65 @@ from qlift.operators import (
 from conftest import random_density, random_matrix
 
 GAMMA = 0.02
+
+
+def reference_integrate(generator, spec, config, observer=None):
+    """Per-step RK4 loop with per-step repair and audits, the reference for
+    the block propagator of integrate_deterministic.  Returns clipped P_e."""
+    check_step_size(spec, config)
+    rho0 = config.initial_state
+    if rho0 is None:
+        rho0 = excited_state(spec.dim)
+    dim = rho0.shape[0]
+    M = liouvillian_matrix(generator, spec, dim)
+    w = (PROJ_EXCITED if dim == 2 else tensor(PROJ_EXCITED, IDENTITY)).T.ravel()
+    dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
+
+    v = rho0.ravel().astype(complex)
+    pe = np.empty(n_steps + 1)
+    pe[0] = (w @ v).real
+    if observer is not None:
+        observer(0.0, rho0.copy())
+    for step in range(1, n_steps + 1):
+        k1 = M @ v
+        k2 = M @ (v + 0.5 * dt * k1)
+        k3 = M @ (v + 0.5 * dt * k2)
+        k4 = M @ (v + dt * k3)
+        v = v + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+        rho = hermitize(v.reshape(dim, dim))
+        tr = np.trace(rho).real
+        if abs(tr) < 1e-12:
+            raise IntegrationError("state trace collapsed during integration")
+        rho = rho / tr
+        v = rho.ravel()
+
+        p = (w @ v).real
+        if p < -1e-9 or p > 1.0 + 1e-9:
+            raise IntegrationError(
+                f"population left [0, 1] at step {step} (P_e={p:.3e}); reduce dt"
+            )
+        pe[step] = p
+
+        if step % stride == 0:
+            min_eig = float(np.linalg.eigvalsh(rho)[0])
+            if min_eig < -1e-8:
+                raise IntegrationError(
+                    f"state lost positivity at t={step * dt:.4g} "
+                    f"(min eigenvalue {min_eig:.3e}); reduce dt"
+                )
+            if observer is not None:
+                observer(step * dt, rho.copy())
+    return np.clip(pe, 0.0, 1.0)
+
+
+def integration_error(integrate, generator, spec, config):
+    """Message of the IntegrationError the integration raises, and the
+    observer times seen before it."""
+    times = []
+    with pytest.raises(IntegrationError) as exc:
+        integrate(generator, spec, config, observer=lambda t, rho: times.append(t))
+    return str(exc.value), times
 
 
 def wm_spec(eta=1.0, lam=None, gamma=GAMMA, **kw):
@@ -330,6 +391,51 @@ class TestIntegrateDeterministic:
         backwards = lambda s, rho: -no_feedback_generator(s, rho)
         with pytest.raises(IntegrationError):
             integrate_deterministic(backwards, spec, cfg)
+        # the same step as the per-step loop: at once from |e><e|, and in the
+        # second block from P_e = 0.002 (P_e grows as 0.002 e^(gamma t))
+        for rho0 in (None, np.diag([0.002, 0.998]).astype(complex)):
+            cfg = TrajectoryConfig(dt=0.5, t_final=500.0, tau=2.5, initial_state=rho0)
+            got = integration_error(integrate_deterministic, backwards, spec, cfg)
+            assert got == integration_error(reference_integrate, backwards, spec, cfg)
+        assert "at step 622 " in got[0] and cfg.n_steps > 622 > dynamics._BLOCK
+
+    def test_detects_lost_positivity(self):
+        # anti-dephasing -gamma D[sigma_z] grows the coherence as
+        # 0.3 e^(2 gamma t) while P_e stays at 0.5, so only the eigenvalue
+        # audit at the sample times can trip (first at t = 14)
+        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
+        rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
+        cfg = TrajectoryConfig(dt=0.5, t_final=50.0, tau=2.0, initial_state=rho0)
+        anti_dephasing = lambda s, rho: -s.gamma * dissipator(SIGMA_Z, rho)
+        with pytest.raises(IntegrationError, match="lost positivity"):
+            integrate_deterministic(anti_dephasing, spec, cfg)
+        got = integration_error(integrate_deterministic, anti_dephasing, spec, cfg)
+        assert got == integration_error(reference_integrate, anti_dephasing, spec, cfg)
+        assert "at t=14 " in got[0] and got[1][-1] == 12.0
+
+    @pytest.mark.parametrize("generator, spec, dt, n_steps, stride", [
+        (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2, 1337, 7),
+        (ancilla_decay_generator,
+         SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0),
+         0.004, 1300, 9),
+    ])
+    def test_block_propagator_matches_step_loop(self, generator, spec, dt, n_steps,
+                                                stride):
+        # several blocks, the last one partial, and samples that straddle
+        # block boundaries
+        assert n_steps > 2 * dynamics._BLOCK and n_steps % dynamics._BLOCK
+        assert dynamics._BLOCK % stride
+        cfg = TrajectoryConfig(dt=dt, t_final=n_steps * dt, tau=stride * dt)
+        assert cfg.n_steps == n_steps and cfg.sample_stride == stride
+        got, want = [], []
+        pe = integrate_deterministic(generator, spec, cfg,
+                                     observer=lambda t, rho: got.append((t, rho))).pe
+        pe_ref = reference_integrate(generator, spec, cfg,
+                                     observer=lambda t, rho: want.append((t, rho)))
+        assert np.max(np.abs(pe - pe_ref)) <= 1e-11
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, rho), (_, rho_ref) in zip(got, want):
+            np.testing.assert_allclose(rho, rho_ref, rtol=0, atol=1e-11)
 
     def test_deterministic_rerun_is_identical(self):
         spec = wm_spec(eta=0.9)
