@@ -23,6 +23,7 @@ from .operators import (
     check_density,
     dissipator,
     excited_state,
+    hermitize,
     repair_density,
     tensor,
 )
@@ -156,6 +157,21 @@ def check_step_size(spec: SchemeSpec, config: TrajectoryConfig) -> None:
             f"dt={config.dt} too large for rate scale {spec.fastest_rate}; "
             f"need dt <= {bound:.3e}"
         )
+
+
+def _initial_state(spec: SchemeSpec, config: TrajectoryConfig) -> np.ndarray:
+    """config.initial_state, or the scheme's excited state when it is None.
+
+    Raises ValueError when the given state does not match the scheme's
+    dimension.
+    """
+    rho0 = config.initial_state
+    if rho0 is None:
+        return excited_state(spec.dim)
+    if rho0.shape != (spec.dim, spec.dim):
+        raise ValueError(f"initial_state has shape {rho0.shape}, but the "
+                         f"{spec.kind.value} scheme needs shape {(spec.dim, spec.dim)}")
+    return rho0
 
 
 def build_hamiltonian(spec: SchemeSpec) -> np.ndarray:
@@ -311,10 +327,8 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     and the first failure raises IntegrationError (the step is too large).
     """
     check_step_size(spec, config)
-    rho0 = config.initial_state
-    if rho0 is None:
-        rho0 = excited_state(spec.dim)
-    dim = rho0.shape[0]
+    rho0 = _initial_state(spec, config)
+    dim = spec.dim
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
     powers = _rk4_powers(liouvillian_matrix(generator, spec, dim), dt, min(_BLOCK, n_steps))
     # w . vec(rho) = tr(P_e rho), system-reduced for dim 4
@@ -333,8 +347,7 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         p = (V[:kept] @ w).real / tr[:kept]
         n_in = _first_failure((p >= -1e-9) & (p <= 1.0 + 1e-9))
         samples = np.arange(-first % stride, n_in, stride)
-        rhos = V[samples].reshape(-1, dim, dim) / tr[samples, None, None]
-        rhos = 0.5 * (rhos + rhos.conj().transpose(0, 2, 1))
+        rhos = hermitize(V[samples].reshape(-1, dim, dim) / tr[samples, None, None])
         min_eigs = np.linalg.eigvalsh(rhos)[:, 0]
         n_pos = _first_failure(min_eigs >= -1e-8)
         if observer is not None:

@@ -86,8 +86,8 @@ def expectation(A: np.ndarray, rho: np.ndarray) -> complex:
 
 
 def hermitize(rho: np.ndarray) -> np.ndarray:
-    """Symmetrize: (rho + rho+) / 2."""
-    return 0.5 * (rho + rho.conj().T)
+    """Symmetrize: (rho + rho+) / 2, state by state on a stack of states."""
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def repair_density(rho: np.ndarray) -> np.ndarray:

@@ -383,6 +383,12 @@ class TestIntegrateDeterministic:
             integrate_deterministic(no_feedback_generator, spec,
                                     TrajectoryConfig(dt=1.0, t_final=10.0))
 
+    def test_rejects_initial_state_of_wrong_dimension(self):
+        spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.1, kappa=1.0)
+        cfg = TrajectoryConfig(dt=1e-3, t_final=0.1, initial_state=excited_state(2))
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(4, 4\)"):
+            integrate_deterministic(ancilla_decay_generator, spec, cfg)
+
     def test_detects_broken_generator(self):
         # time-reversed damping drives the ground population negative; the
         # invariant audit must trip instead of silently producing garbage

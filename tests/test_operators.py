@@ -150,6 +150,16 @@ class TestExpectation:
         assert expectation(PROJ_EXCITED, excited_state(2)) == pytest.approx(1.0)
 
 
+class TestHermitize:
+    @pytest.mark.parametrize("n", [3, 2])
+    def test_stack_matches_each_state(self, rng, n):
+        # a (2, 2, 2) stack is the case a full axis reversal gets wrong silently
+        stack = np.stack([random_matrix(rng, 2) for _ in range(n)])
+        expected = np.stack([hermitize(m) for m in stack])
+        np.testing.assert_array_equal(hermitize(stack), expected)
+        np.testing.assert_allclose(expected[0], 0.5 * (stack[0] + stack[0].conj().T), atol=ATOL)
+
+
 class TestStateRepair:
     def test_repair_hermitizes_and_normalizes(self, rng):
         rho = random_density(rng, 2)
