@@ -165,15 +165,15 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         record = run_ensemble(spec, grid).records[0]
         print(f"simulated a fresh record ({record.samples.shape[0]} samples)")
 
-    try:
-        dataset = build_dataset(record, window=cfg.window)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     settings = TrainSettings(learning_rate=cfg.learning_rate,
                              batch_size=cfg.batch_size, patience=cfg.patience,
                              max_epochs=cfg.max_epochs,
                              val_fraction=cfg.val_fraction, seed=cfg.seed)
-    model = train(dataset, settings)
+    # a record too short for the window or for the validation carve-out
+    try:
+        model = train(build_dataset(record, window=cfg.window), settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     meta = model.metadata
     print(f"epochs run        : {meta['epochs_run']} (best at {meta['best_epoch']})")
     print(f"train MSE         : {meta['train_mse']:.6g}")

@@ -10,7 +10,6 @@ record only.  The quality score is the Pearson correlation r between
 predicted and actual next samples on the held-out test half.
 """
 
-import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -152,6 +151,17 @@ def gradients(mlp: Mlp, Z: np.ndarray, y: np.ndarray):
     return [dW1, db1, dW2, db2, dW3, db3]
 
 
+def _unflatten(theta, shapes):
+    """Views into a flat parameter vector, one per tensor shape."""
+    params = []
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        params.append(theta[start:start + size].reshape(shape))
+        start += size
+    return params
+
+
 @dataclass(frozen=True)
 class TrainSettings:
     learning_rate: float = 1e-3
@@ -199,13 +209,18 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
     Zv, yv = z(X_train_half[split - n_val:]), z(y_train_half[split - n_val:])
 
     mlp = init_mlp(window=dataset.window, seed=settings.seed)
+    shapes = [p.shape for p in mlp.params]
+    # one flat parameter vector, mlp.params being views into it: Adam is
+    # elementwise, so one update of the whole vector equals one per tensor
+    theta = np.concatenate([p.ravel() for p in mlp.params])
+    mlp.params = _unflatten(theta, shapes)
     rng = np.random.default_rng(settings.seed + 1)
-    m_adam = [np.zeros_like(p) for p in mlp.params]
-    v_adam = [np.zeros_like(p) for p in mlp.params]
+    m_adam = np.zeros_like(theta)
+    v_adam = np.zeros_like(theta)
     t_adam = 0
 
     best_val = math.inf
-    best_params = copy.deepcopy(mlp.params)
+    best_theta = theta.copy()
     best_epoch = 0
     stale = 0
     val_history = []
@@ -213,27 +228,28 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(n_fit)
+        Zo, yo = Zt[order], yt[order]
         for start in range(0, n_fit, settings.batch_size):
-            batch = order[start: start + settings.batch_size]
-            grads = gradients(mlp, Zt[batch], yt[batch])
+            stop = start + settings.batch_size
+            grads = gradients(mlp, Zo[start:stop], yo[start:stop])
+            g = np.concatenate([d.ravel() for d in grads])
             t_adam += 1
             bc1 = 1.0 - settings.beta1 ** t_adam
             bc2 = 1.0 - settings.beta2 ** t_adam
-            for p, g, m_, v_ in zip(mlp.params, grads, m_adam, v_adam):
-                m_ *= settings.beta1
-                m_ += (1.0 - settings.beta1) * g
-                v_ *= settings.beta2
-                v_ += (1.0 - settings.beta2) * g * g
-                p -= settings.learning_rate * (m_ / bc1) / (np.sqrt(v_ / bc2) + settings.eps)
+            m_adam *= settings.beta1
+            m_adam += (1.0 - settings.beta1) * g
+            v_adam *= settings.beta2
+            v_adam += (1.0 - settings.beta2) * g * g
+            theta -= settings.learning_rate * (m_adam / bc1) / (np.sqrt(v_adam / bc2) + settings.eps)
 
         val_mse = loss_mse(mlp, Zv, yv)
         if not math.isfinite(val_mse):
-            mlp.params = best_params
+            mlp.params = [p.copy() for p in _unflatten(best_theta, shapes)]
             raise TrainingDiverged(f"validation loss non-finite at epoch {epoch}", mlp)
         val_history.append(val_mse)
         if val_mse < best_val:
             best_val = val_mse
-            best_params = copy.deepcopy(mlp.params)
+            best_theta = theta.copy()
             best_epoch = epoch
             stale = 0
         else:
@@ -241,7 +257,7 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
             if stale >= settings.patience:
                 break
 
-    mlp.params = best_params
+    mlp.params = [p.copy() for p in _unflatten(best_theta, shapes)]
     mlp.mean = mean
     mlp.std = std
 

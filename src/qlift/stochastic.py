@@ -196,8 +196,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     maps = np.concatenate([
         np.eye(4) + dt * _pauli_matrix(lambda rho: no_feedback_generator(spec, rho)),
         _pauli_matrix(lambda rho: m @ rho + rho @ md),
-    ])
-    cols = [maps[:, k, None] for k in range(4)]
+    ])[:, :, None]
 
     c0 = np.einsum("jab,ba->j", _PAULI, _initial_state(spec, config)).real
     # c_0 = 1 then holds exactly: the drift's trace row is zero and the kick
@@ -205,25 +204,50 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     c = np.repeat((c0 / c0[0])[:, None], n_traj, axis=1)
     # r is divided by max(floor, |r|): floor 1 pulls a state back into the
     # Bloch ball, floor 0 puts it on the sphere; at eta = 1 a trajectory that
-    # reaches the sphere is held there
+    # reaches the sphere is held there.  The trajectories share their initial
+    # state, so when it is on the sphere floor is 0 throughout.
     keep_pure = spec.eta == 1.0
     on_sphere = keep_pure and c[1:, 0] @ c[1:, 0] >= 1.0
+    track_floor = keep_pure and not on_sphere
     floor = np.full(n_traj, 0.0 if on_sphere else 1.0)
     pe = np.empty((n_traj, n_samples + 1))
     pe[:, 0] = 0.5 * (c[0] + c[3])
     currents = np.empty((n_traj, n_samples))
 
+    # step buffers, written in place: at a few trajectories a step costs its
+    # number of numpy calls, not its arithmetic
+    prod = np.empty((8, 4, n_traj))
+    mapped = np.empty((8, n_traj))
+    kick = np.empty((4, n_traj))
+    sq = np.empty((3, n_traj))
+    norm = np.empty(n_traj)
+    div = np.empty(n_traj)
+    drifted, s, s0, r = mapped[:4], mapped[4:], mapped[4], c[1:]
+
     step = 0
     for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
-        for dw in block:
-            out = cols[0] * c[0] + cols[1] * c[1] + cols[2] * c[2] + cols[3] * c[3]
-            s = out[4:]
+        # the noise part of the currents sampled in this block, then amp dW in
+        # the block's own buffer; amp s_0 is added at the sampled step
+        sampled = block[-step % stride::stride].T
+        k = -(-step // stride)
+        np.multiply(sampled, noise_gain, currents[:, k:k + sampled.shape[1]])
+        block *= amp
+        for amp_dw in block:
+            np.multiply(maps, c, prod)
+            np.add.reduce(prod, axis=1, out=mapped)
             if step % stride == 0:
-                currents[:, step // stride] = amp * s[0] + dw * noise_gain
-            c = out[:4] + (amp * dw) * (s - s[0] * c)
-            norm = np.sqrt((c[1:] ** 2).sum(axis=0))
-            c[1:] /= np.maximum(floor, norm)
-            if keep_pure:
+                currents[:, step // stride] += amp * s0
+            np.multiply(s0, c, kick)
+            np.subtract(s, kick, kick)
+            np.multiply(amp_dw, kick, kick)
+            np.add(drifted, kick, c)
+            np.square(r, sq)
+            np.add(sq[0], sq[1], norm)
+            np.add(norm, sq[2], norm)
+            np.sqrt(norm, norm)
+            np.maximum(floor, norm, out=div)
+            np.divide(r, div, r)
+            if track_floor:
                 floor[norm > 1.0] = 0.0
             step += 1
             if step % stride == 0:

@@ -238,6 +238,15 @@ class TestCliTrain:
         assert code == 2
         assert "too short" in capsys.readouterr().err
 
+    def test_record_too_short_for_validation_is_config_error(self, tmp_path, capsys):
+        # 8 samples give 3 pairs and a training half of 1: no room for validation
+        record = self.make_record_csv(tmp_path, n=8)
+        code = main(["train", "--out", str(tmp_path / "res"), "--record", record])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "validation" in err
+
     def test_malformed_record_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("time_us,current\n0.0,0.1\nnot,numbers\n")

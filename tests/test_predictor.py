@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlift import predictor
+from qlift.dynamics import SchemeKind, SchemeSpec, TrajectoryConfig
 from qlift.predictor import (
     Mlp,
     TrainingDiverged,
@@ -21,12 +24,88 @@ from qlift.predictor import (
     save_model,
     train,
 )
+from qlift.stochastic import run_ensemble
 from qlift.traces import HomodyneRecord
 
 
 def damped_sine_record(n=300, decay=200.0, freq=0.4):
     k = np.arange(n)
     return HomodyneRecord(0.5, np.exp(-k / decay) * np.sin(freq * k))
+
+
+def reference_train(dataset, settings=TrainSettings()):
+    """train() as it was with one Adam update per parameter tensor, and its
+    per-batch fancy indexing.  Returns (params, metadata); on divergence,
+    (params of the last finite snapshot, None)."""
+    split = dataset.split_index
+    X_half, y_half = dataset.inputs[:split], dataset.targets[:split]
+    X_test, y_test = dataset.inputs[split:], dataset.targets[split:]
+    n_val = max(1, int(round(settings.val_fraction * split)))
+    mean = float(X_half.mean())
+    std = float(X_half.std())
+    if std < 1e-12:
+        std = 1.0
+
+    def z(X):
+        return (X - mean) / std
+
+    Zt, yt = z(X_half[: split - n_val]), z(y_half[: split - n_val])
+    Zv, yv = z(X_half[split - n_val:]), z(y_half[split - n_val:])
+
+    mlp = init_mlp(window=dataset.window, seed=settings.seed)
+    rng = np.random.default_rng(settings.seed + 1)
+    m_adam = [np.zeros_like(p) for p in mlp.params]
+    v_adam = [np.zeros_like(p) for p in mlp.params]
+    t_adam = 0
+    best_val = math.inf
+    best_params = copy.deepcopy(mlp.params)
+    best_epoch = 0
+    stale = 0
+    val_history = []
+    n_fit = Zt.shape[0]
+    for epoch in range(1, settings.max_epochs + 1):
+        order = rng.permutation(n_fit)
+        for start in range(0, n_fit, settings.batch_size):
+            batch = order[start: start + settings.batch_size]
+            grads = gradients(mlp, Zt[batch], yt[batch])
+            t_adam += 1
+            bc1 = 1.0 - settings.beta1 ** t_adam
+            bc2 = 1.0 - settings.beta2 ** t_adam
+            for p, g, m_, v_ in zip(mlp.params, grads, m_adam, v_adam):
+                m_ *= settings.beta1
+                m_ += (1.0 - settings.beta1) * g
+                v_ *= settings.beta2
+                v_ += (1.0 - settings.beta2) * g * g
+                p -= settings.learning_rate * (m_ / bc1) / (np.sqrt(v_ / bc2) + settings.eps)
+        val_mse = loss_mse(mlp, Zv, yv)
+        if not math.isfinite(val_mse):
+            return best_params, None
+        val_history.append(val_mse)
+        if val_mse < best_val:
+            best_val = val_mse
+            best_params = copy.deepcopy(mlp.params)
+            best_epoch = epoch
+            stale = 0
+        else:
+            stale += 1
+            if stale >= settings.patience:
+                break
+
+    mlp.params = best_params
+    pred_test = mean + std * forward(mlp, z(X_test))
+    try:
+        test_r = correlation_r(pred_test, y_test)
+    except ValueError:
+        test_r = None
+    meta = {"val_history": [v * std * std for v in val_history],
+            "epochs_run": len(val_history), "best_epoch": best_epoch, "test_r": test_r}
+    return best_params, meta
+
+
+def sme_record():
+    spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=0.02, eta=1.0)
+    cfg = TrajectoryConfig(dt=0.05, t_final=250.0, seed=7, n_trajectories=1, tau=0.5)
+    return run_ensemble(spec, cfg).records[0]
 
 
 class TestBuildDataset:
@@ -180,6 +259,53 @@ class TestTraining:
             train(ds, TrainSettings(learning_rate=1e120, max_epochs=30))
         assert isinstance(exc.value.model, Mlp)
         assert "non-finite" in str(exc.value)
+
+
+class TestTrainingMatchesPerTensorAdam:
+    @pytest.mark.parametrize("make_record, settings", [
+        pytest.param(damped_sine_record, TrainSettings(max_epochs=120), id="damped-sine"),
+        pytest.param(lambda: HomodyneRecord(0.5, np.random.default_rng(7).normal(size=400)),
+                     TrainSettings(), id="white-noise"),
+        pytest.param(sme_record, TrainSettings(batch_size=20, seed=4), id="run-ensemble"),
+    ])
+    def test_bit_identical(self, make_record, settings):
+        ds = build_dataset(make_record())
+        model = train(ds, settings)
+        params, meta = reference_train(ds, settings)
+        for got, want in zip(model.params, params, strict=True):
+            assert np.array_equal(got, want)
+        for key in ("val_history", "epochs_run", "best_epoch", "test_r"):
+            assert model.metadata[key] == meta[key]
+
+    def test_returned_params_own_their_memory(self):
+        model = train(build_dataset(damped_sine_record(n=120)), TrainSettings(max_epochs=5))
+        assert all(p.flags.owndata for p in model.params)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_snapshot_is_bit_identical_and_owned(self, monkeypatch):
+        ds = build_dataset(HomodyneRecord(0.5, np.random.default_rng(3).normal(size=80)))
+        settings = TrainSettings(learning_rate=1e120, max_epochs=30)
+        params, meta = reference_train(ds, settings)
+        assert meta is None
+
+        # the parameters train() is working on, as gradients() last saw them
+        working = []
+        real = predictor.gradients
+
+        def spy(mlp, Z, y):
+            working[:] = mlp.params
+            return real(mlp, Z, y)
+
+        monkeypatch.setattr(predictor, "gradients", spy)
+        with pytest.raises(TrainingDiverged) as exc:
+            train(ds, settings)
+        snapshot = exc.value.model.params
+        for got, want in zip(snapshot, params, strict=True):
+            assert np.array_equal(got, want)
+        assert working
+        for p in snapshot:
+            assert p.flags.owndata
+            assert not any(np.shares_memory(p, q) for q in working)
 
 
 class TestPersistence:

@@ -9,6 +9,7 @@ from qlift.dynamics import (
     SchemeKind,
     SchemeSpec,
     TrajectoryConfig,
+    _initial_state,
     check_step_size,
     liouvillian_matrix,
     no_feedback_generator,
@@ -93,6 +94,68 @@ def reference_ensemble(spec, config):
                             mean_pe=pe.mean(axis=0), sem_pe=sem_pe,
                             records=[HomodyneRecord(config.tau, c) for c in currents])
     return result, repairs
+
+
+def parent_ensemble(spec, config):
+    """run_ensemble's Pauli-coordinate step loop as it was before the step
+    buffers: one temporary per operation and a per-step noise scale.  Returns
+    the EnsembleResult and how many trajectory-steps moved a trajectory's
+    floor from 1 to 0 (the eta = 1 rule holding a state on the sphere)."""
+    n_steps, stride = config.n_steps, config.sample_stride
+    n_traj = int(config.n_trajectories)
+    n_samples = n_steps // stride
+
+    dt = config.dt
+    amp = math.sqrt(spec.eta * spec.gamma)
+    noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
+    m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+    md = m.conj().T
+    maps = np.concatenate([
+        np.eye(4) + dt * stochastic._pauli_matrix(lambda rho: no_feedback_generator(spec, rho)),
+        stochastic._pauli_matrix(lambda rho: m @ rho + rho @ md),
+    ])
+    cols = [maps[:, k, None] for k in range(4)]
+
+    c0 = np.einsum("jab,ba->j", stochastic._PAULI, _initial_state(spec, config)).real
+    c = np.repeat((c0 / c0[0])[:, None], n_traj, axis=1)
+    keep_pure = spec.eta == 1.0
+    on_sphere = keep_pure and c[1:, 0] @ c[1:, 0] >= 1.0
+    floor = np.full(n_traj, 0.0 if on_sphere else 1.0)
+    pe = np.empty((n_traj, n_samples + 1))
+    pe[:, 0] = 0.5 * (c[0] + c[3])
+    currents = np.empty((n_traj, n_samples))
+    held = 0
+
+    step = 0
+    for block in stochastic._noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
+        for dw in block:
+            out = cols[0] * c[0] + cols[1] * c[1] + cols[2] * c[2] + cols[3] * c[3]
+            s = out[4:]
+            if step % stride == 0:
+                currents[:, step // stride] = amp * s[0] + dw * noise_gain
+            c = out[:4] + (amp * dw) * (s - s[0] * c)
+            norm = np.sqrt((c[1:] ** 2).sum(axis=0))
+            c[1:] /= np.maximum(floor, norm)
+            if keep_pure:
+                held += np.count_nonzero(floor[norm > 1.0])
+                floor[norm > 1.0] = 0.0
+            step += 1
+            if step % stride == 0:
+                pe[:, step // stride] = 0.5 * (c[0] + c[3])
+
+    sem_pe = pe.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_samples + 1)
+    result = EnsembleResult(times=config.tau * np.arange(n_samples + 1),
+                            mean_pe=pe.mean(axis=0), sem_pe=sem_pe,
+                            records=[HomodyneRecord(config.tau, c) for c in currents])
+    return result, held
+
+
+def assert_bit_identical(got, want):
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.mean_pe, want.mean_pe)
+    assert np.array_equal(got.sem_pe, want.sem_pe)
+    for a, b in zip(got.records, want.records, strict=True):
+        assert np.array_equal(a.samples, b.samples)
 
 
 class TestHsup:
@@ -329,3 +392,39 @@ class TestEnsembleBatch:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+class TestEnsembleMatchesParentLoop:
+    """The buffered step loop repeats the unbuffered one bit for bit."""
+
+    CASES = [
+        pytest.param(nf_spec(eta=1.0), None, id="eta1-excited"),
+        # floor tracking is live: trajectories reach the sphere one by one
+        pytest.param(nf_spec(eta=1.0), NEAR_PURE, id="eta1-near-pure"),
+        pytest.param(SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.6,
+                                phi_lo=math.pi / 2, omega_s=0.3),
+                     MIXED, id="eta0.6-phi90-omega"),
+    ]
+
+    @pytest.mark.parametrize("n_traj", [1, 4, 24])
+    @pytest.mark.parametrize("spec, initial_state", CASES)
+    def test_bit_identical(self, spec, initial_state, n_traj):
+        cfg = TrajectoryConfig(dt=0.01, t_final=10.0, seed=23, n_trajectories=n_traj,
+                               tau=0.5, initial_state=initial_state)
+        want, held = parent_ensemble(spec, cfg)
+        if initial_state is NEAR_PURE:
+            assert held > 0
+        assert_bit_identical(run_ensemble(spec, cfg), want)
+
+    @pytest.mark.parametrize("chunk", [33, 77])
+    @pytest.mark.parametrize("spec, initial_state", CASES)
+    def test_bit_identical_when_blocks_end_mid_period(self, monkeypatch, spec,
+                                                      initial_state, chunk):
+        # 50 steps per sample: blocks of 33 steps hold one sampled step or
+        # none, blocks of 77 one or two, each at a different offset
+        cfg = TrajectoryConfig(dt=0.01, t_final=10.0, seed=29, n_trajectories=4,
+                               tau=0.5, initial_state=initial_state)
+        assert cfg.sample_stride == 50
+        monkeypatch.setattr(stochastic, "_NOISE_BYTES", 8 * 4 * chunk)
+        want, _ = parent_ensemble(spec, cfg)
+        assert_bit_identical(run_ensemble(spec, cfg), want)
