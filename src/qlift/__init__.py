@@ -36,7 +36,6 @@ from .operators import (
     check_density,
     dissipator,
     excited_state,
-    expectation,
     hermitize,
     partial_trace_ancilla,
     project_physical,
@@ -69,7 +68,7 @@ from .rates import (
     population_curve,
     rate_table,
 )
-from .stochastic import EnsembleResult, hsup, run_ensemble, sme_step
+from .stochastic import EnsembleResult, run_ensemble, sme_step
 from .traces import HomodyneRecord, PopulationTrace
 
 __version__ = "0.1.0"

@@ -17,9 +17,9 @@ from .operators import (
     IDENTITY,
     PROJ_EXCITED,
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     check_density,
     dissipator,
     excited_state,
@@ -52,7 +52,7 @@ _BLOCK = 512  # steps per block in integrate_deterministic: 2 MB of powers at di
 class SchemeSpec:
     """Physical parameters of one control scheme.
 
-    Rates (gamma, kappa) and couplings (g, lambda_gain, omegas) are in
+    Rates (gamma, kappa) and couplings (g, lambda_gain) are in
     inverse microseconds; eta is the homodyne detection efficiency; phi_lo
     is the local-oscillator phase in radians.
     """
@@ -63,8 +63,6 @@ class SchemeSpec:
     lambda_gain: float = 0.0
     g: float = 0.0
     kappa: float = 0.0
-    omega_s: float = 0.0
-    omega_a: float = 0.0
     phi_lo: float = 0.0
     feedback_axis: str = "y"
 
@@ -79,9 +77,8 @@ class SchemeSpec:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be >= 0 and finite, got {v!r}")
-        for name in ("omega_s", "omega_a", "phi_lo"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.phi_lo):
+            raise ValueError("phi_lo must be finite")
         if self.feedback_axis not in _FEEDBACK_AXES:
             raise ValueError(f"feedback_axis must be 'x' or 'y', got {self.feedback_axis!r}")
 
@@ -92,14 +89,7 @@ class SchemeSpec:
     @property
     def fastest_rate(self) -> float:
         """Largest rate scale in the generator; sets the step-size bound."""
-        return max(
-            self.gamma,
-            self.kappa,
-            self.g,
-            abs(self.omega_s),
-            abs(self.omega_a),
-            self.lambda_gain ** 2,
-        )
+        return max(self.gamma, self.kappa, self.g, self.lambda_gain ** 2)
 
 
 @dataclass(frozen=True)
@@ -177,17 +167,13 @@ def _initial_state(spec: SchemeSpec, config: TrajectoryConfig) -> np.ndarray:
 def build_hamiltonian(spec: SchemeSpec) -> np.ndarray:
     """Scheme Hamiltonian in the rotating frame (hbar = 1).
 
-    Two-level schemes get (omega_s/2) sigma_z.  The ancilla scheme adds the
-    ancilla splitting and the excitation-exchange coupling
-    g (sigma_+ sigma_- + sigma_- sigma_+) between system and ancilla.
+    Zero for two-level schemes.  The ancilla scheme has the
+    excitation-exchange coupling g (sigma_+ sigma_- + sigma_- sigma_+)
+    between system and ancilla.
     """
     if spec.dim == 2:
-        return 0.5 * spec.omega_s * SIGMA_Z
-    sp = SIGMA_MINUS.conj().T
-    H = 0.5 * spec.omega_s * tensor(SIGMA_Z, IDENTITY)
-    H = H + 0.5 * spec.omega_a * tensor(IDENTITY, SIGMA_Z)
-    H = H + spec.g * (tensor(sp, SIGMA_MINUS) + tensor(SIGMA_MINUS, sp))
-    return H
+        return np.zeros((2, 2), dtype=complex)
+    return spec.g * (tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS))
 
 
 def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
@@ -236,8 +222,8 @@ def feedback_operator(spec: SchemeSpec) -> np.ndarray:
 
 
 def no_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
-    """Bare amplitude damping: -i[H, rho] + gamma D[sigma_-] rho."""
-    return lindblad_rhs(0.5 * spec.omega_s * SIGMA_Z, [(spec.gamma, SIGMA_MINUS)], rho)
+    """Bare amplitude damping: gamma D[sigma_-] rho."""
+    return spec.gamma * dissipator(SIGMA_MINUS, rho)
 
 
 def wm_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
@@ -249,8 +235,7 @@ def wm_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     """
     c = math.sqrt(spec.gamma) * SIGMA_MINUS
     F = feedback_operator(spec)
-    H0 = 0.5 * spec.omega_s * SIGMA_Z
-    return feedback_master_equation(H0, c, F, spec.eta, rho)
+    return feedback_master_equation(build_hamiltonian(spec), c, F, spec.eta, rho)
 
 
 def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:

@@ -19,15 +19,8 @@ SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 PROJ_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
-# Tolerances used across the package: algebraic identities should close to
-# 1e-12, while evolved states are held to 1e-10.
-ALGEBRA_ATOL = 1e-12
+# Tolerance to which evolved states are held.
 STATE_ATOL = 1e-10
-
-
-def quadrature_operator(phi: float) -> np.ndarray:
-    """Field quadrature sigma_phi = sigma_x cos(phi) + sigma_y sin(phi)."""
-    return np.cos(phi) * SIGMA_X + np.sin(phi) * SIGMA_Y
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,15 +69,6 @@ def partial_trace_ancilla(rho: np.ndarray) -> np.ndarray:
     return np.einsum("iaja->ij", rho.reshape(2, 2, 2, 2))
 
 
-def expectation(A: np.ndarray, rho: np.ndarray) -> complex:
-    """tr(A rho).  Complex in general; real up to roundoff for Hermitian A."""
-    A = _check_square(A, "A")
-    rho = _check_square(rho, "rho")
-    if A.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, rho is {rho.shape}")
-    return complex(np.trace(A @ rho))
-
-
 def hermitize(rho: np.ndarray) -> np.ndarray:
     """Symmetrize: (rho + rho+) / 2, state by state on a stack of states."""
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
@@ -94,8 +78,7 @@ def repair_density(rho: np.ndarray) -> np.ndarray:
     """Per-step state repair: hermitize, then renormalize the trace to 1.
 
     This is the cheap repair applied after every integrator step.  It does not
-    touch the spectrum; see :func:`project_physical` for the positivity fix
-    used by the stochastic integrator.
+    touch the spectrum; see :func:`project_physical` for a positivity fix.
     """
     rho = hermitize(np.asarray(rho, dtype=complex))
     tr = np.trace(rho).real
@@ -106,8 +89,8 @@ def repair_density(rho: np.ndarray) -> np.ndarray:
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
     """Project onto the physical set: hermitize, clip negative eigenvalues,
-    renormalize.  Used when a finite stochastic step pushes the conditional
-    state slightly outside the state space."""
+    renormalize.  For a 2x2 state this is the closed-form repair
+    r <- r / max(1, |r|) of the stochastic step (see qlift.stochastic)."""
     rho = hermitize(np.asarray(rho, dtype=complex))
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] >= 0.0:

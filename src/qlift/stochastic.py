@@ -9,39 +9,38 @@ phi = 0 (the default) this is the textbook form
            + sqrt(eta gamma) H[sigma_-] rho dW,
     I dt  = sqrt(eta gamma) <sigma_x> dt + dW / sqrt(eta).
 
-:func:`sme_step` advances one 2x2 complex state; it is the single-trajectory
-reference that the ensemble is tested against at eta < 1.  :func:`run_ensemble`
-advances a whole ensemble at once in Pauli coordinates c = (1, x, y, z),
-c_j = tr(sigma_j rho), the Bloch-vector form of the SME (K. Jacobs and
-D. A. Steck, Contemp. Phys. 47, 279 (2006)).  There the drift and the map
-rho -> m rho + rho m+ are real 4x4 matrices D and K, and one step is
+In general the current reads <m + m+>, which in the excited-first basis is
+the quadrature sigma_x cos(phi) - sigma_y sin(phi) (H. M. Wiseman and
+G. J. Milburn, Quantum Measurement and Control (2010), ch. 4).
+
+States are held as Pauli coordinates c = (1, x, y, z), c_j = tr(sigma_j rho),
+the Bloch-vector form of the SME (K. Jacobs and D. A. Steck, Contemp. Phys.
+47, 279 (2006)).  There the drift and the map rho -> m rho + rho m+ are real
+4x4 matrices D and K, and one step is
 
     s = K c,    c <- (I + dt D) c + sqrt(eta gamma) dW (s - s_0 c),
 
 with s_0 = <m + m+> the mean of the current.  A finite step can leave the
 state space: for a unit-trace 2x2 state det rho = (1 - |r|^2) / 4 with
 r = (x, y, z), so that happens exactly when |r| > 1, and clipping the
-negative eigenvalue and renormalizing (what project_physical does) gives
-r / |r|.  The ensemble's repair is therefore r <- r / max(1, |r|).
+negative eigenvalue and renormalizing gives r / |r|.  The repair is
+therefore r <- r / max(1, |r|).
 
 At eta = 1 every emission is detected and the exact SME keeps a pure state
 pure, but an Euler step moves it off the Bloch sphere to either side.
 Clipping only the outward steps lets pure states drift inward, which biases
 the ensemble's mean P_e low by an amount that shrinks only as sqrt(dt)
 (2.4 standard errors of a 2000-trajectory mean at t = 0.5, dt = 0.0025).  So
-at eta = 1 a trajectory on the sphere (a pure initial state, or one the clip
-has put there) is put back on it after every step: r <- r / |r|.
-sme_step keeps the plain clip.
-
-In the excited-first basis m + m+ = sigma_x cos(phi) - sigma_y sin(phi), which
-is the quadrature run_ensemble's current reads; sme_step's current reads
-quadrature_operator(phi) = sigma_x cos(phi) + sigma_y sin(phi).  The two
-agree at phi = 0 and phi = pi.
+at eta = 1 run_ensemble puts a trajectory on the sphere (a pure initial
+state, or one the clip has put there) back on it after every step:
+r <- r / |r|.  A lone sme_step carries no record of having reached the
+sphere, so it keeps the plain clip.
 
 Averaging the conditional states over dW recovers the deterministic master
 equation, which is what the ensemble-mean cross-check in the tests leans on.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +59,8 @@ from .operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    project_physical,
-    quadrature_operator,
+    # kept importable here: perfbench/tests/test_bench_tracing.py looks it up
+    project_physical,  # noqa: F401
 )
 from .traces import HomodyneRecord
 
@@ -74,22 +73,85 @@ _NOISE_BYTES = 4 * 2**20
 _PAULI = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def hsup(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Measurement superoperator H[L] rho = L rho + rho L+ - tr((L + L+) rho) rho."""
-    Ld = L.conj().T
-    s = L @ rho + rho @ Ld
-    return s - np.trace(s).real * rho
+def _pauli_matrix(X) -> np.ndarray:
+    """Real 4x4 matrix R[j, k] = tr(sigma_j X(sigma_k)) / 2 of a linear map X
+    on 2x2 matrices, acting on Pauli coordinates c_j = tr(sigma_j rho)."""
+    images = np.stack([X(sigma) for sigma in _PAULI])
+    return 0.5 * np.einsum("jab,kba->jk", _PAULI, images).real
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (1, x, y, z) of a 2x2 state, normalized to unit trace."""
+    c = np.einsum("jab,ba->j", _PAULI, rho).real
+    return c / c[0]
+
+
+@functools.lru_cache(maxsize=128)
+def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
+    """Read-only (8, 4, 1) step maps: rows 0-3 give (I + dt D) c, rows 4-7
+    give s = K c, each broadcast against a (4, n) coordinate array."""
+    m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+    maps = np.concatenate([
+        np.eye(4) + dt * _pauli_matrix(lambda rho: no_feedback_generator(spec, rho)),
+        _pauli_matrix(lambda rho: m @ rho + rho @ m.conj().T),
+    ])[:, :, None]
+    maps.flags.writeable = False
+    return maps
+
+
+def _step_buffers(n: int) -> tuple:
+    """Work arrays for :func:`_euler_step` on n trajectories, written in place:
+    at a few trajectories a step costs its number of numpy calls, not its
+    arithmetic."""
+    # allocated in this order: mapped before prod ran the 2000-trajectory
+    # ensemble ~8 % slower in fresh processes
+    prod, mapped = np.empty((8, 4, n)), np.empty((8, n))
+    return (prod, mapped, mapped[:4], mapped[4:], mapped[4],
+            np.empty((4, n)), np.empty((3, n)), np.empty(n), np.empty(n))
+
+
+def _euler_step(c: np.ndarray, amp_dw, floor, maps: np.ndarray, buffers: tuple):
+    """Advance the (4, n) Pauli coordinates c by one repaired Euler step, in place.
+
+    amp_dw is sqrt(eta gamma) dW, one entry per trajectory (or a scalar);
+    maps comes from _step_maps and buffers from _step_buffers(n).  The repair
+    divides r by max(floor, |r|): floor 1 pulls a state back into the Bloch
+    ball, floor 0 puts it on the sphere.  Returns s_0 = <m + m+> of the
+    pre-step states (the mean current over sqrt(eta gamma)) and the post-step
+    |r| before the repair; both are views into buffers, valid until the next
+    step.
+    """
+    prod, mapped, drifted, s, s0, kick, sq, norm, div = buffers
+    r = c[1:]
+    np.multiply(maps, c, prod)
+    np.add.reduce(prod, axis=1, out=mapped)
+    np.multiply(s0, c, kick)
+    np.subtract(s, kick, kick)
+    np.multiply(amp_dw, kick, kick)
+    np.add(drifted, kick, c)
+    np.square(r, sq)
+    np.add(sq[0], sq[1], norm)
+    np.add(norm, sq[2], norm)
+    np.sqrt(norm, norm)
+    np.maximum(floor, norm, out=div)
+    np.divide(r, div, r)
+    return s0, norm
 
 
 def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     """One Euler-Maruyama step of the conditional state, plus the current sample.
 
+    This is run_ensemble's step at one trajectory, in Pauli coordinates, with
+    the plain clip r <- r / max(1, |r|): a lone step carries no record of the
+    state having reached the Bloch sphere, so it never holds a state there.
+
     Parameters
     ----------
     rho : np.ndarray
-        2x2 conditional state at the start of the step.
+        2x2 conditional state at the start of the step; it is taken as
+        Hermitian and normalized to unit trace.
     spec : SchemeSpec
-        Provides gamma, eta, phi_lo, omega_s.
+        Provides gamma, eta and phi_lo.
     dt : float
         Step length in microseconds.
     dw : float
@@ -98,22 +160,19 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     Returns
     -------
     (rho_next, current)
-        The repaired conditional state after the step and the homodyne
-        current sample for the interval, built from the pre-step state and
-        this step's noise.
+        The repaired conditional state after the step, and the homodyne
+        current sample for the interval,
+        sqrt(eta gamma) <m + m+> + dw / (sqrt(eta) dt), built from the
+        pre-step state and this step's noise.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
-    m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
     amp = math.sqrt(spec.eta * spec.gamma)
-
-    current = amp * np.trace(quadrature_operator(spec.phi_lo) @ rho).real
-    current += dw / (math.sqrt(spec.eta) * dt)
-
-    drift = no_feedback_generator(spec, rho)
-    rho_next = rho + dt * drift + amp * dw * hsup(m, rho)
-    return project_physical(rho_next), current
+    c = _coordinates(rho)[:, None]
+    s0, _ = _euler_step(c, amp * dw, 1.0, _step_maps(spec, dt), _step_buffers(1))
+    current = amp * s0[0] + dw / (math.sqrt(spec.eta) * dt)
+    return 0.5 * np.einsum("jab,j->ab", _PAULI, c[:, 0]), current
 
 
 @dataclass(frozen=True)
@@ -124,13 +183,6 @@ class EnsembleResult:
     mean_pe: np.ndarray
     sem_pe: np.ndarray
     records: list
-
-
-def _pauli_matrix(X) -> np.ndarray:
-    """Real 4x4 matrix R[j, k] = tr(sigma_j X(sigma_k)) / 2 of a linear map X
-    on 2x2 matrices, acting on Pauli coordinates c_j = tr(sigma_j rho)."""
-    images = np.stack([X(sigma) for sigma in _PAULI])
-    return 0.5 * np.einsum("jab,kba->jk", _PAULI, images).real
 
 
 def _noise_blocks(seed: int, n_traj: int, n_steps: int, sd: float):
@@ -190,22 +242,14 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     dt = config.dt
     amp = math.sqrt(spec.eta * spec.gamma)
     noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
-    m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
-    md = m.conj().T
-    # rows 0-3 give (I + dt D) c, rows 4-7 give s = K c
-    maps = np.concatenate([
-        np.eye(4) + dt * _pauli_matrix(lambda rho: no_feedback_generator(spec, rho)),
-        _pauli_matrix(lambda rho: m @ rho + rho @ md),
-    ])[:, :, None]
-
-    c0 = np.einsum("jab,ba->j", _PAULI, _initial_state(spec, config)).real
+    maps = _step_maps(spec, dt)
+    c0 = _coordinates(_initial_state(spec, config))
     # c_0 = 1 then holds exactly: the drift's trace row is zero and the kick
     # s - s_0 c has a zero trace component
-    c = np.repeat((c0 / c0[0])[:, None], n_traj, axis=1)
-    # r is divided by max(floor, |r|): floor 1 pulls a state back into the
-    # Bloch ball, floor 0 puts it on the sphere; at eta = 1 a trajectory that
-    # reaches the sphere is held there.  The trajectories share their initial
-    # state, so when it is on the sphere floor is 0 throughout.
+    c = np.repeat(c0[:, None], n_traj, axis=1)
+    # at eta = 1 a trajectory that reaches the sphere is held there by floor 0.
+    # The trajectories share their initial state, so when it is on the sphere
+    # floor is 0 throughout.
     keep_pure = spec.eta == 1.0
     on_sphere = keep_pure and c[1:, 0] @ c[1:, 0] >= 1.0
     track_floor = keep_pure and not on_sphere
@@ -213,16 +257,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     pe = np.empty((n_traj, n_samples + 1))
     pe[:, 0] = 0.5 * (c[0] + c[3])
     currents = np.empty((n_traj, n_samples))
-
-    # step buffers, written in place: at a few trajectories a step costs its
-    # number of numpy calls, not its arithmetic
-    prod = np.empty((8, 4, n_traj))
-    mapped = np.empty((8, n_traj))
-    kick = np.empty((4, n_traj))
-    sq = np.empty((3, n_traj))
-    norm = np.empty(n_traj)
-    div = np.empty(n_traj)
-    drifted, s, s0, r = mapped[:4], mapped[4:], mapped[4], c[1:]
+    buffers = _step_buffers(n_traj)
 
     step = 0
     for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
@@ -233,20 +268,9 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
         np.multiply(sampled, noise_gain, currents[:, k:k + sampled.shape[1]])
         block *= amp
         for amp_dw in block:
-            np.multiply(maps, c, prod)
-            np.add.reduce(prod, axis=1, out=mapped)
+            s0, norm = _euler_step(c, amp_dw, floor, maps, buffers)
             if step % stride == 0:
                 currents[:, step // stride] += amp * s0
-            np.multiply(s0, c, kick)
-            np.subtract(s, kick, kick)
-            np.multiply(amp_dw, kick, kick)
-            np.add(drifted, kick, c)
-            np.square(r, sq)
-            np.add(sq[0], sq[1], norm)
-            np.add(norm, sq[2], norm)
-            np.sqrt(norm, norm)
-            np.maximum(floor, norm, out=div)
-            np.divide(r, div, r)
             if track_floor:
                 floor[norm > 1.0] = 0.0
             step += 1

@@ -15,11 +15,9 @@ from qlift.operators import (
     check_density,
     dissipator,
     excited_state,
-    expectation,
     hermitize,
     partial_trace_ancilla,
     project_physical,
-    quadrature_operator,
     repair_density,
     tensor,
 )
@@ -52,10 +50,6 @@ class TestPauliAlgebra:
         e = np.array([1.0, 0.0])
         np.testing.assert_allclose(SIGMA_Z @ e, e, atol=ATOL)
         np.testing.assert_allclose(SIGMA_MINUS @ e, np.array([0.0, 1.0]), atol=ATOL)
-
-    def test_quadrature_endpoints(self):
-        np.testing.assert_allclose(quadrature_operator(0.0), SIGMA_X, atol=ATOL)
-        np.testing.assert_allclose(quadrature_operator(np.pi / 2), SIGMA_Y, atol=ATOL)
 
 
 class TestTensor:
@@ -138,16 +132,6 @@ class TestPartialTrace:
     def test_wrong_dimension_raises(self):
         with pytest.raises(ValueError, match="4x4"):
             partial_trace_ancilla(np.eye(2))
-
-
-class TestExpectation:
-    def test_against_elementwise_sum(self, rng):
-        A = random_matrix(rng, 2)
-        rho = random_density(rng, 2)
-        assert abs(expectation(A, rho) - np.einsum("ij,ji->", A, rho)) < ATOL
-
-    def test_population_of_excited_state(self):
-        assert expectation(PROJ_EXCITED, excited_state(2)) == pytest.approx(1.0)
 
 
 class TestHermitize:

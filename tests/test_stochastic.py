@@ -15,19 +15,22 @@ from qlift.dynamics import (
     no_feedback_generator,
 )
 from qlift.operators import (
-    PROJ_EXCITED,
     SIGMA_MINUS,
     SIGMA_X,
     check_density,
     excited_state,
     project_physical,
 )
-from qlift.stochastic import EnsembleResult, hsup, run_ensemble, sme_step
+from qlift.stochastic import EnsembleResult, run_ensemble, sme_step
 from qlift.traces import HomodyneRecord
 
-from conftest import random_density, random_matrix
+from conftest import random_density
 
 GAMMA = 0.02
+
+
+MIXED = 0.5 * np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.6]])  # r = (0.3, 0.2, 0.4)
+NEAR_PURE = 0.5 * np.array([[1.79, -0.6j], [0.6j, 0.21]])  # r = (0, 0.6, 0.79)
 
 
 def nf_spec(eta=1.0, phi=0.0):
@@ -158,22 +161,6 @@ def assert_bit_identical(got, want):
         assert np.array_equal(a.samples, b.samples)
 
 
-class TestHsup:
-    def test_traceless(self, rng):
-        for _ in range(20):
-            out = hsup(random_matrix(rng, 2), random_density(rng, 2))
-            assert abs(np.trace(out)) < 1e-12
-
-    def test_excited_state_kick_is_quadrature(self):
-        # H[sigma_-] |e><e| = sigma_x: the jump builds coherence, no population kick
-        np.testing.assert_allclose(hsup(SIGMA_MINUS, PROJ_EXCITED), SIGMA_X, atol=1e-12)
-
-    def test_vanishes_on_dark_state(self):
-        ground = np.diag([0.0, 1.0]).astype(complex)
-        np.testing.assert_allclose(hsup(SIGMA_MINUS, ground),
-                                   np.zeros((2, 2)), atol=1e-12)
-
-
 class TestSmeStep:
     def test_zero_noise_reduces_to_euler(self, rng):
         # mix toward the center so the positivity repair stays a no-op
@@ -192,10 +179,13 @@ class TestSmeStep:
         assert current == pytest.approx(expected, rel=1e-12)
 
     def test_rotated_oscillator_measures_sigma_y(self):
+        # the current reads <m + m+> = <sigma_x> cos(phi) - <sigma_y> sin(phi),
+        # the quadrature that the step's own back-action m = sigma_- e^(-i phi)
+        # conditions on
         coh = np.array([[0.5, -0.3j], [0.3j, 0.5]])  # <sigma_y> = 0.6
         spec = nf_spec(eta=1.0, phi=math.pi / 2)
         _, current = sme_step(coh, spec, 0.01, 0.0)
-        assert current == pytest.approx(math.sqrt(GAMMA) * 0.6, rel=1e-9)
+        assert current == pytest.approx(-math.sqrt(GAMMA) * 0.6, rel=1e-9)
 
     def test_mean_over_noise_is_deterministic_step(self, rng):
         # the stochastic term is linear in dw, so averaging +w and -w cancels
@@ -241,15 +231,21 @@ class TestRunEnsemble:
         for ra, rb in zip(a.records, b.records):
             assert np.array_equal(ra.samples, rb.samples)
 
-    def test_trajectory_uses_its_own_substream(self):
-        spec = nf_spec(eta=0.6)
-        cfg = TrajectoryConfig(dt=0.1, t_final=4.0, seed=9, n_trajectories=3, tau=0.5)
+    @pytest.mark.parametrize("phi, initial_state", [
+        pytest.param(0.0, None, id="excited"),
+        # from a state with coherence the current shows which quadrature it reads
+        pytest.param(math.pi / 2, MIXED, id="mixed-phi90"),
+    ])
+    def test_trajectory_uses_its_own_substream(self, phi, initial_state):
+        spec = nf_spec(eta=0.6, phi=phi)
+        cfg = TrajectoryConfig(dt=0.1, t_final=4.0, seed=9, n_trajectories=3, tau=0.5,
+                               initial_state=initial_state)
         res = run_ensemble(spec, cfg)
 
         # rebuild trajectory 2 alone from SeedSequence((seed, 2))
         rng = np.random.default_rng(np.random.SeedSequence((9, 2)))
         dws = rng.normal(0.0, math.sqrt(0.1), 40)
-        rho = excited_state(2)
+        rho = excited_state(2) if initial_state is None else initial_state
         samples = []
         for step, dw in enumerate(dws):
             if step % 5 == 0:
@@ -305,18 +301,12 @@ class TestRunEnsemble:
             run_ensemble(nf_spec(), cfg)
 
 
-MIXED = 0.5 * np.array([[1.4, 0.3 - 0.2j], [0.3 + 0.2j, 0.6]])  # r = (0.3, 0.2, 0.4)
-NEAR_PURE = 0.5 * np.array([[1.79, -0.6j], [0.6j, 0.21]])  # r = (0, 0.6, 0.79)
-
-
 class TestEnsembleMatchesReferenceLoop:
     @pytest.mark.parametrize("spec, initial_state, must_repair", [
         pytest.param(nf_spec(eta=1.0), None, True, id="eta1"),
         pytest.param(nf_spec(eta=0.6), None, False, id="eta0.6"),
         pytest.param(nf_spec(eta=1.0, phi=math.pi / 2), None, True, id="eta1-phi90"),
-        pytest.param(SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.6,
-                                phi_lo=math.pi / 2, omega_s=0.3),
-                     None, False, id="eta0.6-phi90-omega"),
+        pytest.param(nf_spec(eta=0.6, phi=math.pi / 2), None, False, id="eta0.6-phi90"),
         # the phase matters only from a state with coherence
         pytest.param(nf_spec(eta=0.6, phi=math.pi / 2), MIXED, False, id="mixed-phi90"),
         # at eta = 1 a mixed state purifies until the clip puts it on the sphere
@@ -401,9 +391,7 @@ class TestEnsembleMatchesParentLoop:
         pytest.param(nf_spec(eta=1.0), None, id="eta1-excited"),
         # floor tracking is live: trajectories reach the sphere one by one
         pytest.param(nf_spec(eta=1.0), NEAR_PURE, id="eta1-near-pure"),
-        pytest.param(SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.6,
-                                phi_lo=math.pi / 2, omega_s=0.3),
-                     MIXED, id="eta0.6-phi90-omega"),
+        pytest.param(nf_spec(eta=0.6, phi=math.pi / 2), MIXED, id="eta0.6-phi90-mixed"),
     ]
 
     @pytest.mark.parametrize("n_traj", [1, 4, 24])
