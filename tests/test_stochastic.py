@@ -17,6 +17,7 @@ from qlift.dynamics import (
 from qlift.operators import (
     SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Y,
     check_density,
     excited_state,
     project_physical,
@@ -209,6 +210,58 @@ class TestSmeStep:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             sme_step(np.eye(4) / 4, nf_spec(), 0.01, 0.0)
+
+
+def kick(rho, spec, dt, dw):
+    """The part of one sme_step that is linear in dw, over sqrt(eta gamma) dw."""
+    noisy, _ = sme_step(rho, spec, dt, dw)
+    flat, _ = sme_step(rho, spec, dt, 0.0)
+    return (noisy - flat) / (math.sqrt(spec.eta * spec.gamma) * dw)
+
+
+class TestBackAction:
+    def test_kick_is_measurement_superoperator(self, rng):
+        # H[m] rho = m rho + rho m+ - tr(m rho + rho m+) rho, m = sigma_- e^(-i phi);
+        # states stay inside the ball so the repair is a no-op
+        for _ in range(20):
+            rho = 0.7 * random_density(rng, 2) + 0.15 * np.eye(2)
+            spec = nf_spec(eta=0.6, phi=rng.uniform(0.0, 2.0 * math.pi))
+            m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+            back = m @ rho + rho @ m.conj().T
+            want = back - np.trace(back) * rho
+            got = kick(rho, spec, 0.01, 0.003)
+            np.testing.assert_allclose(got, want, atol=1e-9)
+            assert abs(np.trace(got)) < 1e-9
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi],
+                             ids=["phi0", "phi90", "phi180"])
+    def test_excited_state_kick_is_quadrature(self, phi):
+        # H[m] |e><e| = sigma_x cos(phi) - sigma_y sin(phi): the jump builds
+        # coherence along the measured quadrature, with no population kick
+        got = kick(excited_state(2), nf_spec(eta=1.0, phi=phi), 0.01, 0.01)
+        want = math.cos(phi) * SIGMA_X - math.sin(phi) * SIGMA_Y
+        np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_kick_vanishes_on_dark_state(self):
+        ground = np.diag([0.0, 1.0]).astype(complex)
+        spec = nf_spec(eta=0.8, phi=0.4)
+        for dw in (-0.1, 0.03, 0.2):
+            stepped, current = sme_step(ground, spec, 0.01, dw)
+            np.testing.assert_allclose(stepped, ground, atol=1e-15)
+            assert current == pytest.approx(dw / (math.sqrt(0.8) * 0.01), rel=1e-12)
+
+
+class TestStepMaps:
+    def test_memoized_per_spec_and_step(self):
+        # SchemeSpec is frozen, so an equal spec built afresh hits the cache
+        maps = stochastic._step_maps(nf_spec(eta=0.7, phi=0.3), 0.01)
+        assert stochastic._step_maps(nf_spec(eta=0.7, phi=0.3), 0.01) is maps
+        assert stochastic._step_maps(nf_spec(eta=0.7, phi=0.3), 0.02) is not maps
+
+    def test_read_only(self):
+        maps = stochastic._step_maps(nf_spec(eta=0.7), 0.01)
+        with pytest.raises(ValueError):
+            maps[0, 0, 0] = 2.0
 
 
 class TestRunEnsemble:
