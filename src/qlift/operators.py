@@ -75,10 +75,11 @@ def hermitize(rho: np.ndarray) -> np.ndarray:
 
 
 def repair_density(rho: np.ndarray) -> np.ndarray:
-    """Per-step state repair: hermitize, then renormalize the trace to 1.
+    """Cheap state repair: hermitize, then renormalize the trace to 1.
 
-    This is the cheap repair applied after every integrator step.  It does not
-    touch the spectrum; see :func:`project_physical` for a positivity fix.
+    integrate_deterministic applies it to the state it carries from one block
+    of steps into the next.  It does not touch the spectrum; see
+    :func:`project_physical` for a positivity fix.
     """
     rho = hermitize(np.asarray(rho, dtype=complex))
     tr = np.trace(rho).real
@@ -89,8 +90,8 @@ def repair_density(rho: np.ndarray) -> np.ndarray:
 
 def project_physical(rho: np.ndarray) -> np.ndarray:
     """Project onto the physical set: hermitize, clip negative eigenvalues,
-    renormalize.  For a 2x2 state this is the closed-form repair
-    r <- r / max(1, |r|) of the stochastic step (see qlift.stochastic)."""
+    renormalize.  For a 2x2 state with Bloch vector r this is
+    r <- r / max(1, |r|)."""
     rho = hermitize(np.asarray(rho, dtype=complex))
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] >= 0.0:

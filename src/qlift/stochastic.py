@@ -1,43 +1,38 @@
 """Conditional homodyne trajectories for the monitored damped qubit.
 
-The stochastic master equation is integrated with fixed-step Euler-Maruyama.
-The measurement back-action enters through the phase-rotated collapse
-operator m = sigma_- exp(-i phi), phi being the local-oscillator phase.  At
-phi = 0 (the default) this is the textbook form
+The monitored qubit obeys the stochastic master equation
 
-    drho = -i[H, rho] dt + gamma D[sigma_-] rho dt
-           + sqrt(eta gamma) H[sigma_-] rho dW,
-    I dt  = sqrt(eta gamma) <sigma_x> dt + dW / sqrt(eta).
+    drho = gamma D[sigma_-] rho dt + sqrt(eta gamma) H[m] rho dW,
+    I dt  = sqrt(eta gamma) <m + m+> dt + dW / sqrt(eta),
 
-In general the current reads <m + m+>, which in the excited-first basis is
-the quadrature sigma_x cos(phi) - sigma_y sin(phi) (H. M. Wiseman and
-G. J. Milburn, Quantum Measurement and Control (2010), ch. 4).
+where m = sigma_- exp(-i phi) is the collapse operator rotated by the
+local-oscillator phase phi.  The current reads <m + m+>, which in the
+excited-first basis is the quadrature sigma_x cos(phi) - sigma_y sin(phi)
+(H. M. Wiseman and G. J. Milburn, Quantum Measurement and Control (2010),
+ch. 4).
+
+One step is the completely positive update of P. Rouchon and J. F. Ralph,
+Phys. Rev. A 91, 012118 (2015).  With L = sqrt(gamma) m, A = I - L+L dt / 2,
+B = sqrt(eta) L and the measured increment dy = sqrt(eta) <L + L+> dt + dW,
+
+    rho <- M rho M+ + (1 - eta) dt L rho L+,    M = A + dy B,
+
+renormalized to unit trace.  Their second-order term eta L^2 (dy^2 - dt) / 2
+in M vanishes here because sigma_-^2 = 0.  The update is a sum of Kraus
+terms, so it takes states to states at any eta: no step leaves the Bloch
+ball, and nothing is repaired.  To first order in dt it is the SME above, so
+averaging the conditional states over dW recovers the deterministic master
+equation, which is what the ensemble-mean cross-checks in the tests lean on.
 
 States are held as Pauli coordinates c = (1, x, y, z), c_j = tr(sigma_j rho),
 the Bloch-vector form of the SME (K. Jacobs and D. A. Steck, Contemp. Phys.
-47, 279 (2006)).  There the drift and the map rho -> m rho + rho m+ are real
-4x4 matrices D and K, and one step is
+47, 279 (2006)).  There every linear map on 2x2 matrices is a real 4x4
+matrix, and expanding M rho M+ in powers of dy gives
 
-    s = K c,    c <- (I + dt D) c + sqrt(eta gamma) dW (s - s_0 c),
+    c~ = G0 c + dy G1 c + dy^2 G2 c,    c <- c~ / c~_0,
 
-with s_0 = <m + m+> the mean of the current.  A finite step can leave the
-state space: for a unit-trace 2x2 state det rho = (1 - |r|^2) / 4 with
-r = (x, y, z), so that happens exactly when |r| > 1, and clipping the
-negative eigenvalue and renormalizing gives r / |r|.  The repair is
-therefore r <- r / max(1, |r|).
-
-At eta = 1 every emission is detected and the exact SME keeps a pure state
-pure, but an Euler step moves it off the Bloch sphere to either side.
-Clipping only the outward steps lets pure states drift inward, which biases
-the ensemble's mean P_e low by an amount that shrinks only as sqrt(dt)
-(2.4 standard errors of a 2000-trajectory mean at t = 0.5, dt = 0.0025).  So
-at eta = 1 run_ensemble puts a trajectory on the sphere (a pure initial
-state, or one the clip has put there) back on it after every step:
-r <- r / |r|.  A lone sme_step carries no record of having reached the
-sphere, so it keeps the plain clip.
-
-Averaging the conditional states over dW recovers the deterministic master
-equation, which is what the ensemble-mean cross-check in the tests leans on.
+with G0, G1 and G2 the matrices of rho -> A rho A+ + (1 - eta) dt L rho L+,
+rho -> B rho A+ + A rho B+ and rho -> B rho B+.
 """
 
 import functools
@@ -47,11 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    SchemeKind,
     SchemeSpec,
     TrajectoryConfig,
     _initial_state,
     check_step_size,
-    no_feedback_generator,
 )
 from .operators import (
     IDENTITY,
@@ -88,62 +83,69 @@ def _coordinates(rho: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
-    """Read-only (8, 4, 1) step maps: rows 0-3 give (I + dt D) c, rows 4-7
-    give s = K c, each broadcast against a (4, n) coordinate array."""
+    """Read-only (13, 4) step maps for a (4, n) coordinate array: rows 0-3,
+    4-7 and 8-11 are G0, G1 and G2 (see the module docstring), row 12 gives
+    s_0 = <m + m+>.
+
+    Every stochastic step passes through here, so this is where a scheme the
+    route does not simulate is rejected.
+    """
+    if spec.kind is not SchemeKind.NO_FEEDBACK:
+        raise ValueError("the stochastic route simulates no_feedback schemes only, "
+                         f"got {spec.kind.value}")
     m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+    jump = math.sqrt(spec.gamma) * m
+    a = IDENTITY - 0.5 * dt * (jump.conj().T @ jump)
+    b = math.sqrt(spec.eta) * jump
+    ad, bd, jd = a.conj().T, b.conj().T, jump.conj().T
     maps = np.concatenate([
-        np.eye(4) + dt * _pauli_matrix(lambda rho: no_feedback_generator(spec, rho)),
-        _pauli_matrix(lambda rho: m @ rho + rho @ m.conj().T),
-    ])[:, :, None]
+        _pauli_matrix(lambda rho: a @ rho @ ad + (1.0 - spec.eta) * dt * (jump @ rho @ jd)),
+        _pauli_matrix(lambda rho: b @ rho @ ad + a @ rho @ bd),
+        _pauli_matrix(lambda rho: b @ rho @ bd),
+        _pauli_matrix(lambda rho: m @ rho + rho @ m.conj().T)[:1],
+    ])
     maps.flags.writeable = False
     return maps
 
 
 def _step_buffers(n: int) -> tuple:
-    """Work arrays for :func:`_euler_step` on n trajectories, written in place:
+    """Work arrays for :func:`_kraus_step` on n trajectories, written in place:
     at a few trajectories a step costs its number of numpy calls, not its
     arithmetic."""
-    # allocated in this order: mapped before prod ran the 2000-trajectory
-    # ensemble ~8 % slower in fresh processes
-    prod, mapped = np.empty((8, 4, n)), np.empty((8, n))
-    return (prod, mapped, mapped[:4], mapped[4:], mapped[4],
-            np.empty((4, n)), np.empty((3, n)), np.empty(n), np.empty(n))
+    return np.empty((13, n)), np.empty(n), np.empty((4, n))
 
 
-def _euler_step(c: np.ndarray, amp_dw, floor, maps: np.ndarray, buffers: tuple):
-    """Advance the (4, n) Pauli coordinates c by one repaired Euler step, in place.
+def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tuple):
+    """Advance the (4, n) Pauli coordinates c by one Kraus step, in place.
 
-    amp_dw is sqrt(eta gamma) dW, one entry per trajectory (or a scalar);
-    maps comes from _step_maps and buffers from _step_buffers(n).  The repair
-    divides r by max(floor, |r|): floor 1 pulls a state back into the Bloch
-    ball, floor 0 puts it on the sphere.  Returns s_0 = <m + m+> of the
-    pre-step states (the mean current over sqrt(eta gamma)) and the post-step
-    |r| before the repair; both are views into buffers, valid until the next
-    step.
+    dw is the Wiener increment, one entry per trajectory (or a scalar);
+    amp_dt is sqrt(eta gamma) dt; maps comes from _step_maps and buffers from
+    _step_buffers(n).  Returns s_0 = <m + m+> of the pre-step states (the
+    mean current over sqrt(eta gamma)), a view into buffers that is valid
+    until the next step.
     """
-    prod, mapped, drifted, s, s0, kick, sq, norm, div = buffers
-    r = c[1:]
-    np.multiply(maps, c, prod)
-    np.add.reduce(prod, axis=1, out=mapped)
-    np.multiply(s0, c, kick)
-    np.subtract(s, kick, kick)
-    np.multiply(amp_dw, kick, kick)
-    np.add(drifted, kick, c)
-    np.square(r, sq)
-    np.add(sq[0], sq[1], norm)
-    np.add(norm, sq[2], norm)
-    np.sqrt(norm, norm)
-    np.maximum(floor, norm, out=div)
-    np.divide(r, div, r)
-    return s0, norm
+    mapped, dy, tilde = buffers
+    # every row of maps has at most two nonzero entries, so no kernel einsum
+    # picks can change a sum's rounding: a lone trajectory repeats its batch
+    # column bit for bit
+    np.einsum("jk,kn->jn", maps, c, out=mapped)
+    s0 = mapped[12]
+    np.multiply(s0, amp_dt, dy)
+    np.add(dy, dw, dy)
+    # c~ = G0 c + dy (G1 c + dy G2 c)
+    np.multiply(dy, mapped[8:12], tilde)
+    np.add(mapped[4:8], tilde, tilde)
+    np.multiply(dy, tilde, tilde)
+    np.add(mapped[:4], tilde, tilde)
+    np.divide(tilde, tilde[0], c)
+    return s0
 
 
 def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
-    """One Euler-Maruyama step of the conditional state, plus the current sample.
+    """One Kraus step of the conditional state, plus the current sample.
 
-    This is run_ensemble's step at one trajectory, in Pauli coordinates, with
-    the plain clip r <- r / max(1, |r|): a lone step carries no record of the
-    state having reached the Bloch sphere, so it never holds a state there.
+    This is run_ensemble's step at one trajectory, in Pauli coordinates (see
+    the module docstring); it always returns a valid state.
 
     Parameters
     ----------
@@ -151,7 +153,7 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
         2x2 conditional state at the start of the step; it is taken as
         Hermitian and normalized to unit trace.
     spec : SchemeSpec
-        Provides gamma, eta and phi_lo.
+        Provides gamma, eta and phi_lo; only no_feedback schemes are accepted.
     dt : float
         Step length in microseconds.
     dw : float
@@ -160,8 +162,8 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     Returns
     -------
     (rho_next, current)
-        The repaired conditional state after the step, and the homodyne
-        current sample for the interval,
+        The conditional state after the step, and the homodyne current
+        sample for the interval,
         sqrt(eta gamma) <m + m+> + dw / (sqrt(eta) dt), built from the
         pre-step state and this step's noise.
     """
@@ -170,7 +172,7 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
     amp = math.sqrt(spec.eta * spec.gamma)
     c = _coordinates(rho)[:, None]
-    s0, _ = _euler_step(c, amp * dw, 1.0, _step_maps(spec, dt), _step_buffers(1))
+    s0 = _kraus_step(c, dw, amp * dt, _step_maps(spec, dt), _step_buffers(1))
     current = amp * s0[0] + dw / (math.sqrt(spec.eta) * dt)
     return 0.5 * np.einsum("jab,j->ab", _PAULI, c[:, 0]), current
 
@@ -214,11 +216,10 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     """Simulate config.n_trajectories conditional trajectories in lockstep.
 
     All trajectories are one real (4, n_trajectories) array of Pauli
-    coordinates c = (1, x, y, z), advanced together by the real 4x4 drift and
-    measurement maps and repaired in closed form: r <- r / max(1, |r|), and
-    at eta = 1 r <- r / |r| for a trajectory on the Bloch sphere (see the
-    module docstring).  The maps are contracted by broadcasting, so each
-    trajectory's arithmetic does not depend on how many run beside it.
+    coordinates c = (1, x, y, z), advanced together by the Kraus step of the
+    module docstring, which keeps every state physical without repair.  The
+    maps are contracted so that each trajectory's arithmetic does not depend
+    on how many run beside it.  Only no_feedback schemes are accepted.
 
     Trajectory i draws its noise from np.random.SeedSequence((seed, i)), so
     any single trajectory can be reproduced in isolation and enlarging the
@@ -231,6 +232,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     """
     if spec.dim != 2:
         raise ValueError("run_ensemble covers single-qubit monitoring schemes only")
+    maps = _step_maps(spec, config.dt)
     check_step_size(spec, config)
     n_steps = config.n_steps
     stride = config.sample_stride
@@ -241,19 +243,11 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
 
     dt = config.dt
     amp = math.sqrt(spec.eta * spec.gamma)
+    amp_dt = amp * dt
     noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
-    maps = _step_maps(spec, dt)
     c0 = _coordinates(_initial_state(spec, config))
-    # c_0 = 1 then holds exactly: the drift's trace row is zero and the kick
-    # s - s_0 c has a zero trace component
+    # each step divides by c~_0, so c_0 = 1 holds exactly
     c = np.repeat(c0[:, None], n_traj, axis=1)
-    # at eta = 1 a trajectory that reaches the sphere is held there by floor 0.
-    # The trajectories share their initial state, so when it is on the sphere
-    # floor is 0 throughout.
-    keep_pure = spec.eta == 1.0
-    on_sphere = keep_pure and c[1:, 0] @ c[1:, 0] >= 1.0
-    track_floor = keep_pure and not on_sphere
-    floor = np.full(n_traj, 0.0 if on_sphere else 1.0)
     pe = np.empty((n_traj, n_samples + 1))
     pe[:, 0] = 0.5 * (c[0] + c[3])
     currents = np.empty((n_traj, n_samples))
@@ -261,18 +255,15 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
 
     step = 0
     for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
-        # the noise part of the currents sampled in this block, then amp dW in
-        # the block's own buffer; amp s_0 is added at the sampled step
+        # the noise part of the currents sampled in this block; amp s_0 is
+        # added at the sampled step
         sampled = block[-step % stride::stride].T
         k = -(-step // stride)
         np.multiply(sampled, noise_gain, currents[:, k:k + sampled.shape[1]])
-        block *= amp
-        for amp_dw in block:
-            s0, norm = _euler_step(c, amp_dw, floor, maps, buffers)
+        for dw in block:
+            s0 = _kraus_step(c, dw, amp_dt, maps, buffers)
             if step % stride == 0:
                 currents[:, step // stride] += amp * s0
-            if track_floor:
-                floor[norm > 1.0] = 0.0
             step += 1
             if step % stride == 0:
                 pe[:, step // stride] = 0.5 * (c[0] + c[3])
