@@ -15,7 +15,7 @@ from .dynamics import (
     ancilla_feedback_generator,
     build_hamiltonian,
     check_step_size,
-    feedback_master_equation,
+    feedback_terms,
     integrate_deterministic,
     lindblad_rhs,
     liouvillian_matrix,

@@ -91,8 +91,7 @@ def _scheme_specs(cfg: ExperimentConfig):
     for eta in cfg.eta_list:
         lam = rates_mod.optimal_lambda(cfg.gamma, eta)
         spec = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=cfg.gamma, eta=eta,
-                          lambda_gain=lam, phi_lo=cfg.phi_lo,
-                          feedback_axis=cfg.feedback_axis)
+                          lambda_gain=lam, phi_lo=cfg.phi_lo)
         out.append((f"wm_eta_{eta:g}", spec, wm_generator,
                     rates_mod.gamma_wm(cfg.gamma, eta, lam)))
     c = rates_mod.cooperativity(cfg.g, cfg.kappa, cfg.gamma)

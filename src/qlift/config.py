@@ -23,7 +23,6 @@ class ExperimentConfig:
     kappa: float = 92.0
     r: float = 0.54
     phi_lo: float = 0.0
-    feedback_axis: str = "y"
     # integration
     dt: float = 0.05
     t_final: float = 300.0
@@ -55,10 +54,10 @@ class ExperimentConfig:
         for e in self.eta_list:
             if not (0.0 < e <= 1.0):
                 raise ConfigError(f"config key 'eta_list' entries must lie in (0, 1], got {e!r}")
-        if not (0.0 <= self.r):
-            raise ConfigError(f"config key 'r' must be >= 0, got {self.r!r}")
-        if self.feedback_axis not in ("x", "y"):
-            raise ConfigError(f"config key 'feedback_axis' must be 'x' or 'y'")
+        if not (math.isfinite(self.r) and self.r >= 0.0):
+            raise ConfigError(f"config key 'r' must be >= 0 and finite, got {self.r!r}")
+        if not math.isfinite(self.phi_lo):
+            raise ConfigError(f"config key 'phi_lo' must be finite, got {self.phi_lo!r}")
         for name in ("n_trajectories", "window", "batch_size", "patience", "max_epochs"):
             v = getattr(self, name)
             if not (isinstance(v, int) and v > 0):
@@ -80,7 +79,7 @@ class ExperimentConfig:
 
 
 _SCHEMA = {
-    "physics": ("gamma", "eta", "eta_list", "g", "kappa", "r", "phi_lo", "feedback_axis"),
+    "physics": ("gamma", "eta", "eta_list", "g", "kappa", "r", "phi_lo"),
     "integration": ("dt", "t_final", "tau"),
     "ensemble": ("n_trajectories", "seed"),
     "predictor": ("window", "learning_rate", "batch_size", "patience",

@@ -18,7 +18,6 @@ from .operators import (
     PROJ_EXCITED,
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
     SIGMA_Y,
     check_density,
     dissipator,
@@ -40,11 +39,6 @@ class SchemeKind(Enum):
     ANCILLA_COHERENT = "ancilla_coherent"
 
 
-# Feedback quadratures, one per allowed axis.  The sign is fixed so that a
-# positive gain drives the quadrature that interferes destructively with the
-# emitted field; with the excited-state-first basis ordering used here, that
-# is -sigma_y (in the ground-state-first convention it would read +sigma_y).
-_FEEDBACK_AXES = {"x": -SIGMA_X, "y": -SIGMA_Y}
 _BLOCK = 512  # steps per block in integrate_deterministic: 2 MB of powers at dim 4
 
 
@@ -54,7 +48,7 @@ class SchemeSpec:
 
     Rates (gamma, kappa) and couplings (g, lambda_gain) are in
     inverse microseconds; eta is the homodyne detection efficiency; phi_lo
-    is the local-oscillator phase in radians.
+    is the local-oscillator phase in radians (see monitored_qubit).
     """
 
     kind: SchemeKind
@@ -64,7 +58,6 @@ class SchemeSpec:
     g: float = 0.0
     kappa: float = 0.0
     phi_lo: float = 0.0
-    feedback_axis: str = "y"
 
     def __post_init__(self):
         if not isinstance(self.kind, SchemeKind):
@@ -79,8 +72,6 @@ class SchemeSpec:
                 raise ValueError(f"{name} must be >= 0 and finite, got {v!r}")
         if not math.isfinite(self.phi_lo):
             raise ValueError("phi_lo must be finite")
-        if self.feedback_axis not in _FEEDBACK_AXES:
-            raise ValueError(f"feedback_axis must be 'x' or 'y', got {self.feedback_axis!r}")
 
     @property
     def dim(self) -> int:
@@ -197,28 +188,31 @@ def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def feedback_master_equation(H0, c, F, eta, rho) -> np.ndarray:
-    """Markovian homodyne-feedback master equation.
-
-    For collapse operator c, feedback operator F, and efficiency eta:
-
-        drho = -i [H0 + (c+ F + F c)/2, rho]
-               + D[c - i sqrt(eta) F] rho + (1 - eta) D[F] rho
-
-    The sqrt(eta) keeps the fed-back signal proportional to what was actually
-    detected; at eta = 1 this is the ideal-detection form.
+def monitored_qubit(spec: SchemeSpec) -> tuple:
+    """Collapse operator c = sqrt(gamma) sigma_- exp(-i phi_lo), whose
+    quadrature <c + c+> is the measured one, and feedback operator
+    F = lambda (-sigma_y): in the excited-first basis a positive gain at
+    phi_lo = 0 interferes destructively with the emission.  F is zero for a
+    no_feedback spec, whatever its lambda_gain.
     """
-    Hfb = 0.5 * (c.conj().T @ F + F @ c)
-    L = c - 1j * math.sqrt(eta) * F
-    rhs = lindblad_rhs(H0 + Hfb, [(1.0, L)], rho)
-    if eta < 1.0:
-        rhs = rhs + (1.0 - eta) * dissipator(F, rho)
-    return rhs
+    c = math.sqrt(spec.gamma) * SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+    lam = 0.0 if spec.kind is SchemeKind.NO_FEEDBACK else spec.lambda_gain
+    return c, lam * -SIGMA_Y
 
 
-def feedback_operator(spec: SchemeSpec) -> np.ndarray:
-    """Single-qubit feedback quadrature lambda * F_axis for this scheme."""
-    return spec.lambda_gain * _FEEDBACK_AXES[spec.feedback_axis]
+def feedback_terms(H0, c, F, eta) -> tuple:
+    """Homodyne feedback with collapse operator c, feedback operator F and
+    efficiency eta, as the (H', channels) arguments of lindblad_rhs:
+
+        H' = H0 + (c+ F + F c) / 2,  D[N] + (1 - eta) D[c],  N = sqrt(eta) c - i F
+
+    (H. M. Wiseman and G. J. Milburn, Quantum Measurement and Control (2010),
+    ch. 5).  The measured channel N comes first.  This equals
+    D[c - i sqrt(eta) F] + (1 - eta) D[F]: both reduce to D[c] + D[F] plus
+    the same cross terms.
+    """
+    H = H0 + 0.5 * (c.conj().T @ F + F @ c)
+    return H, [(1.0, math.sqrt(eta) * c - 1j * F), (1.0 - eta, c)]
 
 
 def no_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
@@ -229,13 +223,12 @@ def no_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
 def wm_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     """Homodyne-mediated feedback on a single qubit.
 
-    The feedback acts along spec.feedback_axis with gain lambda_gain; the
-    closed-form decay rate of the excited population is
-    gamma - 2 sqrt(eta gamma) lambda + 2 lambda^2.
+    The measured quadrature is fed back through F with gain lambda_gain (see
+    monitored_qubit); at phi_lo = phi the excited population decays at
+    gamma - 2 sqrt(eta gamma) lambda cos(phi) + 2 lambda^2.
     """
-    c = math.sqrt(spec.gamma) * SIGMA_MINUS
-    F = feedback_operator(spec)
-    return feedback_master_equation(build_hamiltonian(spec), c, F, spec.eta, rho)
+    c, F = monitored_qubit(spec)
+    return lindblad_rhs(*feedback_terms(build_hamiltonian(spec), c, F, spec.eta), rho)
 
 
 def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
@@ -246,9 +239,10 @@ def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     system.  Dimension 4; the ancilla's own decay channel is not included
     here and composes additively (see ancilla_decay_generator).
     """
-    c = math.sqrt(spec.gamma) * tensor(SIGMA_MINUS, IDENTITY)
-    F = tensor(IDENTITY, feedback_operator(spec))
-    return feedback_master_equation(build_hamiltonian(spec), c, F, spec.eta, rho)
+    c, F = monitored_qubit(spec)
+    terms = feedback_terms(build_hamiltonian(spec), tensor(c, IDENTITY),
+                           tensor(IDENTITY, F), spec.eta)
+    return lindblad_rhs(*terms, rho)
 
 
 def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:

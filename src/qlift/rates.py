@@ -32,6 +32,10 @@ def gamma_wm(gamma: float, eta: float, lam: float) -> float:
     """Decay rate under homodyne-mediated feedback at gain lam:
 
         Gamma(lam) = gamma - 2 sqrt(eta gamma) lam + 2 lam^2
+
+    This assumes phi_lo = 0.  At another phase phi the master equation decays
+    at gamma - 2 sqrt(eta gamma) lam cos(phi) + 2 lam^2, so the feedback rows
+    of ``qlift compare`` then deviate from this form by design.
     """
     gamma = _check_rate(gamma, "gamma")
     eta = _check_efficiency(eta)

@@ -1,37 +1,39 @@
-"""Conditional homodyne trajectories for the monitored damped qubit.
+"""Conditional homodyne trajectories for the monitored qubit.
 
-The monitored qubit obeys the stochastic master equation
+With c = sqrt(gamma) m, m = sigma_- exp(-i phi) and F from monitored_qubit,
+and H' and N = sqrt(eta) c - i F from feedback_terms (both in qlift.dynamics),
+the qubit obeys the stochastic master equation with Markovian feedback
 
-    drho = gamma D[sigma_-] rho dt + sqrt(eta gamma) H[m] rho dW,
-    I dt  = sqrt(eta gamma) <m + m+> dt + dW / sqrt(eta),
+    drho = -i [H', rho] dt + D[N] rho dt + (1 - eta) D[c] rho dt + H[N] rho dW,
+    I dt  = sqrt(eta gamma) <m + m+> dt + dW / sqrt(eta)
 
-where m = sigma_- exp(-i phi) is the collapse operator rotated by the
-local-oscillator phase phi.  The current reads <m + m+>, which in the
-excited-first basis is the quadrature sigma_x cos(phi) - sigma_y sin(phi)
 (H. M. Wiseman and G. J. Milburn, Quantum Measurement and Control (2010),
-ch. 4).
+chs. 4 and 5).  The current reads the quadrature sigma_x cos(phi) -
+sigma_y sin(phi) of the excited-first basis, and <N + N+> = sqrt(eta gamma)
+<m + m+> as F is Hermitian.  Without feedback F = 0.
 
 One step is the completely positive update of P. Rouchon and J. F. Ralph,
-Phys. Rev. A 91, 012118 (2015).  With L = sqrt(gamma) m, A = I - L+L dt / 2,
-B = sqrt(eta) L and the measured increment dy = sqrt(eta) <L + L+> dt + dW,
+Phys. Rev. A 91, 012118 (2015).  With A = I - (i H' + N+N / 2
++ (1 - eta) c+c / 2) dt, B = N and the measured increment dy = <N + N+> dt + dW,
 
-    rho <- M rho M+ + (1 - eta) dt L rho L+,    M = A + dy B,
+    rho <- M rho M+ + (1 - eta) dt c rho c+,    M = A + dy B,
 
-renormalized to unit trace.  Their second-order term eta L^2 (dy^2 - dt) / 2
-in M vanishes here because sigma_-^2 = 0.  The update is a sum of Kraus
-terms, so it takes states to states at any eta: no step leaves the Bloch
-ball, and nothing is repaired.  To first order in dt it is the SME above, so
-averaging the conditional states over dW recovers the deterministic master
-equation, which is what the ensemble-mean cross-checks in the tests lean on.
+renormalized to unit trace.  Their second-order term N^2 (dy^2 - dt) / 2 is
+left out: N is traceless, so N^2 = -det(N) I, which is zero without feedback;
+with feedback the step is first order in dt.  Either way it is a sum of Kraus
+terms, so it takes states to states at any eta, and nothing is repaired.  To
+first order in dt it is the SME above, so averaging the conditional states
+over dW recovers the deterministic master equation, which is what the
+ensemble-mean cross-checks in the tests lean on.
 
-States are held as Pauli coordinates c = (1, x, y, z), c_j = tr(sigma_j rho),
+States are held as Pauli coordinates r = (1, x, y, z), r_j = tr(sigma_j rho),
 the Bloch-vector form of the SME (K. Jacobs and D. A. Steck, Contemp. Phys.
 47, 279 (2006)).  There every linear map on 2x2 matrices is a real 4x4
 matrix, and expanding M rho M+ in powers of dy gives
 
-    c~ = G0 c + dy G1 c + dy^2 G2 c,    c <- c~ / c~_0,
+    r~ = G0 r + dy G1 r + dy^2 G2 r,    r <- r~ / r~_0,
 
-with G0, G1 and G2 the matrices of rho -> A rho A+ + (1 - eta) dt L rho L+,
+with G0, G1 and G2 the matrices of rho -> A rho A+ + (1 - eta) dt c rho c+,
 rho -> B rho A+ + A rho B+ and rho -> B rho B+.
 """
 
@@ -42,11 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    SchemeKind,
     SchemeSpec,
     TrajectoryConfig,
     _initial_state,
+    build_hamiltonian,
     check_step_size,
+    feedback_terms,
+    monitored_qubit,
 )
 from .operators import (
     IDENTITY,
@@ -90,18 +94,19 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     Every stochastic step passes through here, so this is where a scheme the
     route does not simulate is rejected.
     """
-    if spec.kind is not SchemeKind.NO_FEEDBACK:
-        raise ValueError("the stochastic route simulates no_feedback schemes only, "
-                         f"got {spec.kind.value}")
+    if spec.dim != 2:
+        raise ValueError("the stochastic route covers single-qubit monitoring schemes only")
+    c, F = monitored_qubit(spec)
+    H, channels = feedback_terms(build_hamiltonian(spec), c, F, spec.eta)
+    (_, n), (undetected, _) = channels
+    a = IDENTITY - dt * (1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels))
+    # row 12 reads m itself, since c / sqrt(gamma) would not round back to it
     m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
-    jump = math.sqrt(spec.gamma) * m
-    a = IDENTITY - 0.5 * dt * (jump.conj().T @ jump)
-    b = math.sqrt(spec.eta) * jump
-    ad, bd, jd = a.conj().T, b.conj().T, jump.conj().T
+    ad, nd, cd = a.conj().T, n.conj().T, c.conj().T
     maps = np.concatenate([
-        _pauli_matrix(lambda rho: a @ rho @ ad + (1.0 - spec.eta) * dt * (jump @ rho @ jd)),
-        _pauli_matrix(lambda rho: b @ rho @ ad + a @ rho @ bd),
-        _pauli_matrix(lambda rho: b @ rho @ bd),
+        _pauli_matrix(lambda rho: a @ rho @ ad + undetected * dt * (c @ rho @ cd)),
+        _pauli_matrix(lambda rho: n @ rho @ ad + a @ rho @ nd),
+        _pauli_matrix(lambda rho: n @ rho @ nd),
         _pauli_matrix(lambda rho: m @ rho + rho @ m.conj().T)[:1],
     ])
     maps.flags.writeable = False
@@ -153,7 +158,7 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
         2x2 conditional state at the start of the step; it is taken as
         Hermitian and normalized to unit trace.
     spec : SchemeSpec
-        Provides gamma, eta and phi_lo; only no_feedback schemes are accepted.
+        A single-qubit scheme, with or without feedback.
     dt : float
         Step length in microseconds.
     dw : float
@@ -219,7 +224,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     coordinates c = (1, x, y, z), advanced together by the Kraus step of the
     module docstring, which keeps every state physical without repair.  The
     maps are contracted so that each trajectory's arithmetic does not depend
-    on how many run beside it.  Only no_feedback schemes are accepted.
+    on how many run beside it.  Only single-qubit schemes are accepted.
 
     Trajectory i draws its noise from np.random.SeedSequence((seed, i)), so
     any single trajectory can be reproduced in isolation and enlarging the
@@ -230,8 +235,6 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     the sample period config.tau; the current sample at index k is taken over
     the step beginning at t = k tau.
     """
-    if spec.dim != 2:
-        raise ValueError("run_ensemble covers single-qubit monitoring schemes only")
     maps = _step_maps(spec, config.dt)
     check_step_size(spec, config)
     n_steps = config.n_steps

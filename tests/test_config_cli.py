@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ class TestLoadConfig:
 gamma = 0.05
 eta = 0.8
 eta_list = 0.25, 0.75
-feedback_axis = x
+phi_lo = 0.7
 
 [integration]
 t_final = 42.0   # trailing comment
@@ -52,7 +53,7 @@ out_dir = elsewhere
         assert cfg.gamma == 0.05
         assert cfg.eta == 0.8
         assert cfg.eta_list == (0.25, 0.75)
-        assert cfg.feedback_axis == "x"
+        assert cfg.phi_lo == 0.7
         assert cfg.t_final == 42.0
         assert cfg.n_trajectories == 17
         assert cfg.seed == 3
@@ -109,8 +110,10 @@ out_dir = elsewhere
         ("[physics]\ngamma = -0.02\n", "must be positive"),
         ("[physics]\neta = 1.5\n", r"lie in \(0, 1\]"),
         ("[physics]\neta_list = 0.5, 2.0\n", "eta_list"),
-        ("[physics]\nfeedback_axis = z\n", "'x' or 'y'"),
+        ("[physics]\nfeedback_axis = z\n", "unknown key 'feedback_axis'"),
         ("[physics]\nr = -0.1\n", "must be >= 0"),
+        ("[physics]\nr = inf\n", "'r' must be >= 0 and finite"),
+        ("[physics]\nphi_lo = inf\n", "'phi_lo' must be finite"),
         ("[ensemble]\nseed = -1\n", "non-negative"),
         ("[predictor]\nval_fraction = 1.0\n", "below 1"),
         ("[integration]\ndt = 0\n", "must be positive"),
@@ -119,6 +122,11 @@ out_dir = elsewhere
         path = write_config(tmp_path, snippet)
         with pytest.raises(ConfigError, match=complaint):
             load_config(path)
+
+    def test_readme_block_is_the_defaults(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        assert load_config(write_config(tmp_path, block)) == ExperimentConfig()
 
     def test_echo_lists_every_key(self):
         from dataclasses import fields
@@ -339,6 +347,12 @@ class TestCliPlumbing:
         code = main(["rates", "--config", cfg, "--out", str(tmp_path / "res")])
         assert code == 2
         assert "unknown key 'warp'" in capsys.readouterr().err
+
+    def test_non_finite_phase_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "[physics]\nphi_lo = nan\n")
+        code = main(["compare", "--config", cfg, "--out", str(tmp_path / "res")])
+        assert code == 2
+        assert "'phi_lo' must be finite" in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["rates", "--config", str(tmp_path / "absent.cfg"),

@@ -14,7 +14,7 @@ from qlift.dynamics import (
     ancilla_feedback_generator,
     build_hamiltonian,
     check_step_size,
-    feedback_master_equation,
+    feedback_terms,
     integrate_deterministic,
     lindblad_rhs,
     liouvillian_matrix,
@@ -121,7 +121,7 @@ class TestSchemeSpec:
     @pytest.mark.parametrize("kw", [
         dict(gamma=0.0), dict(gamma=-1.0), dict(eta=0.0), dict(eta=1.2),
         dict(lambda_gain=-0.1), dict(g=-1.0), dict(kappa=-1.0),
-        dict(feedback_axis="z"), dict(phi_lo=float("inf")),
+        dict(phi_lo=float("inf")), dict(phi_lo=float("nan")),
     ])
     def test_validation(self, kw):
         base = dict(kind=SchemeKind.WISEMAN_MILBURN, gamma=GAMMA)
@@ -232,6 +232,19 @@ class TestGenerators:
             rhs -= gamma - 2 * math.sqrt(eta * gamma) * lam
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi],
+                             ids=["phi0", "phi90", "phi180"])
+    def test_wm_rate_follows_oscillator_phase(self, phi):
+        # the phase rotates the measured quadrature against the fixed drive
+        # -sigma_y: Gamma = gamma - 2 sqrt(eta gamma) lam cos(phi) + 2 lam^2,
+        # 0.01, 0.03 and 0.05 per us here
+        spec = wm_spec(eta=1.0, phi_lo=phi)
+        cfg = TrajectoryConfig(dt=0.25, t_final=250.0)
+        fit = fit_exponential_offset(integrate_deterministic(wm_generator, spec, cfg))
+        lam = spec.lambda_gain
+        want = GAMMA - 2.0 * math.sqrt(GAMMA) * lam * math.cos(phi) + 2.0 * lam * lam
+        assert fit.gamma_eff == pytest.approx(want, rel=1e-6)
+
     def test_wm_preserves_trace_and_hermiticity(self, rng):
         spec = wm_spec(eta=0.6)
         out = wm_generator(spec, random_density(rng, 2))
@@ -239,17 +252,25 @@ class TestGenerators:
         np.testing.assert_allclose(out, out.conj().T, atol=1e-12)
 
     def test_feedback_equation_matches_wm(self, rng):
-        # the generic feedback form specialized to the single-qubit pair
+        # oracle: the feedback master equation in its usual form,
+        # -i[H0 + (c+F + Fc)/2, rho] + D[c - i sqrt(eta) F] rho + (1 - eta) D[F] rho
+        for eta in (1.0, 0.7):
+            H0 = hermitize(random_matrix(rng, 2))
+            c = random_matrix(rng, 2)
+            F = hermitize(random_matrix(rng, 2))
+            rho = random_density(rng, 2)
+            H = H0 + 0.5 * (c.conj().T @ F + F @ c)
+            want = -1j * (H @ rho - rho @ H) + dissipator(c - 1j * math.sqrt(eta) * F, rho)
+            want += (1.0 - eta) * dissipator(F, rho)
+            got = lindblad_rhs(*feedback_terms(H0, c, F, eta), rho)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        # specialized to the single-qubit pair
         spec = wm_spec(eta=0.7, lam=0.04)
         rho = random_density(rng, 2)
-        out = feedback_master_equation(
-            np.zeros((2, 2), dtype=complex),
-            math.sqrt(GAMMA) * SIGMA_MINUS,
-            0.04 * (-SIGMA_Y),
-            0.7,
-            rho,
-        )
-        np.testing.assert_allclose(out, wm_generator(spec, rho), atol=1e-12)
+        terms = feedback_terms(np.zeros((2, 2)), math.sqrt(GAMMA) * SIGMA_MINUS,
+                               0.04 * (-SIGMA_Y), 0.7)
+        np.testing.assert_allclose(lindblad_rhs(*terms, rho), wm_generator(spec, rho),
+                                   atol=1e-12)
 
     def test_ancilla_feedback_zero_gain(self, rng):
         # lam = 0 leaves the coupled pair with only the system's decay channel

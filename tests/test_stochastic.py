@@ -11,7 +11,9 @@ from qlift.dynamics import (
     TrajectoryConfig,
     _initial_state,
     check_step_size,
+    integrate_deterministic,
     no_feedback_generator,
+    wm_generator,
 )
 from qlift.operators import (
     SIGMA_MINUS,
@@ -328,13 +330,17 @@ class TestRunEnsemble:
             run_ensemble(spec, TrajectoryConfig(dt=1e-4, t_final=0.1))
 
     def test_rejects_feedback_scheme(self):
-        # the stochastic route integrates no feedback, so it must not accept
-        # a spec that asks for it
-        spec = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=GAMMA, eta=0.8, lambda_gain=0.1)
-        with pytest.raises(ValueError, match="no_feedback"):
-            run_ensemble(spec, TrajectoryConfig(dt=0.1, t_final=1.0))
-        with pytest.raises(ValueError, match="no_feedback"):
+        # the four-level scheme is rejected where every step passes, so by
+        # sme_step as well
+        spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.1, kappa=1.0,
+                          lambda_gain=0.1)
+        with pytest.raises(ValueError, match="single-qubit"):
             sme_step(excited_state(2), spec, 0.1, 0.0)
+
+    def test_no_feedback_ignores_gain(self):
+        cfg = TrajectoryConfig(dt=0.1, t_final=10.0, seed=6, n_trajectories=4, tau=0.5)
+        gained = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.8, lambda_gain=0.1)
+        assert_bit_identical(run_ensemble(gained, cfg), run_ensemble(nf_spec(eta=0.8), cfg))
 
     def test_rejects_partial_sample_period(self):
         spec = nf_spec()
@@ -369,6 +375,23 @@ class TestEnsembleMatchesReferenceLoop:
         np.testing.assert_allclose(res.sem_pe, ref.sem_pe, rtol=0, atol=1e-12)
         for got, want in zip(res.records, ref.records, strict=True):
             np.testing.assert_allclose(got.samples, want.samples, rtol=0, atol=1e-12)
+
+
+class TestFeedbackEnsemble:
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_mean_tracks_feedback_master_equation(self, eta):
+        # the conditional ensemble under Wiseman-Milburn feedback at the
+        # optimal gain agrees with RK4 on wm_generator, and sits far above
+        # the bare decay it slows
+        spec = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=GAMMA, eta=eta,
+                          lambda_gain=0.5 * math.sqrt(eta * GAMMA))
+        cfg = TrajectoryConfig(dt=0.01, t_final=40.0, seed=31, n_trajectories=2000, tau=1.0)
+        res = run_ensemble(spec, cfg)
+        want = integrate_deterministic(wm_generator, spec, cfg).pe[::cfg.sample_stride]
+        gap = np.abs(res.mean_pe - want)
+        assert gap[0] == 0.0
+        assert np.all(gap[1:] < 5.0 * res.sem_pe[1:])
+        assert res.mean_pe[-1] - math.exp(-GAMMA * 40.0) > 20.0 * res.sem_pe[-1]
 
 
 class TestEnsembleBatch:
