@@ -50,8 +50,12 @@ def _write_csv(path, header, rows):
 
 
 def _write_series(path, header, times, values):
-    _write_csv(path, header, zip((f"{t:.6f}" for t in times),
-                                 (f"{v:.10g}" for v in values)))
+    # the bytes csv.writer would write (no cell needs quoting), formatted
+    # from Python floats, which format far faster than numpy scalars
+    rows = "".join(f"{t:.6f},{v:.10g}\r\n"
+                   for t, v in zip(times.tolist(), values.tolist()))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n" + rows)
 
 
 def _resolve_config(args) -> ExperimentConfig:

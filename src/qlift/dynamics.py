@@ -184,6 +184,8 @@ def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     for rate, L in channels:
         if rate < 0:
             raise ValueError(f"channel rate must be >= 0, got {rate!r}")
+        if rate == 0:
+            continue
         out = out + rate * dissipator(L, rho)
     return out
 

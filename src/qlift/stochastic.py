@@ -196,25 +196,25 @@ def _noise_blocks(seed: int, n_traj: int, n_steps: int, sd: float):
     """Yield every trajectory's Wiener increments as (steps, n_traj) time blocks.
 
     Column i continues the stream of SeedSequence((seed, i)) from block to
-    block, so the blocks of a column concatenate to one draw of n_steps.  The
-    blocks share one buffer of at most _NOISE_BYTES (one step at the least);
-    between blocks only each trajectory's bit-generator state is kept, and
-    the states are restored one at a time into a single Generator.
+    block, so the blocks of a column concatenate to one draw of n_steps.
+    Each trajectory keeps one live generator for the whole draw and fills its
+    own row of a row-major (n_traj, chunk) buffer of at most _NOISE_BYTES
+    (one step at the least); a block is the transposed view of that buffer,
+    so a step's increments are a strided column.  Scaling standard normals
+    by sd in place gives the bits Generator.normal(0, sd) returns.  The
+    n_traj generators (about 2.5 MB at 2000) are bounded by n_traj, as the
+    coordinate array of run_ensemble is.
     """
     chunk = max(1, min(n_steps, _NOISE_BYTES // (8 * n_traj)))
-    buf = np.empty((chunk, n_traj))
-    rng = np.random.Generator(np.random.PCG64())
-    states = [None] * n_traj
+    buf = np.empty((n_traj, chunk))
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            for i in range(n_traj)]
     for start in range(0, n_steps, chunk):
-        block = buf[:min(chunk, n_steps - start)]
-        more = start + chunk < n_steps
-        for i in range(n_traj):
-            rng.bit_generator.state = (
-                states[i] or np.random.PCG64(np.random.SeedSequence((seed, i))).state)
-            block[:, i] = rng.normal(0.0, sd, len(block))
-            if more:
-                states[i] = rng.bit_generator.state
-        yield block
+        block = buf[:, :min(chunk, n_steps - start)]
+        for rng, row in zip(rngs, block):
+            rng.standard_normal(out=row)
+        np.multiply(block, sd, block)
+        yield block.T
 
 
 def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
@@ -230,10 +230,10 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     any single trajectory can be reproduced in isolation and enlarging the
     ensemble never perturbs existing members.  The noise is drawn in time
     chunks of at most _NOISE_BYTES, each continuing every trajectory's own
-    stream, so memory stays bounded as the horizon grows and the result does
-    not depend on the chunk size.  Populations and currents are decimated to
-    the sample period config.tau; the current sample at index k is taken over
-    the step beginning at t = k tau.
+    live generator, so memory stays bounded by n_trajectories as the horizon
+    grows and the result does not depend on the chunk size.  Populations and
+    currents are decimated to the sample period config.tau; the current
+    sample at index k is taken over the step beginning at t = k tau.
     """
     maps = _step_maps(spec, config.dt)
     check_step_size(spec, config)

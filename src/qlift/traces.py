@@ -3,6 +3,7 @@
 Times are in microseconds throughout; rates are in inverse microseconds.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,11 +73,11 @@ class HomodyneRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        if not (self.sample_period > 0 and np.isfinite(self.sample_period)):
+        if not (self.sample_period > 0 and math.isfinite(self.sample_period)):
             raise ValueError("sample_period must be positive and finite")
         if samples.ndim != 1 or samples.shape[0] < 1:
             raise ValueError("samples must be a non-empty one-dimensional array")
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise ValueError("record contains non-finite samples")
 
     @property

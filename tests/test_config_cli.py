@@ -214,6 +214,23 @@ class TestCliSimulate:
         assert a != c
 
 
+class TestWriteSeries:
+    def test_bytes_match_per_scalar_csv_writer(self, tmp_path):
+        times = np.array([0.0, 0.5, -1.25, 1e-300, 1e300, 123456.7890123])
+        values = np.array([0.0, -0.0, -3.5e-7, 1e-300, 1e300, -1e300])
+        header = ["time_us", "current"]
+        new = tmp_path / "new.csv"
+        cli._write_series(new, header, times, values)
+        # oracle: csv.writer over one f-string per numpy scalar
+        old = tmp_path / "old.csv"
+        with open(old, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip((f"{t:.6f}" for t in times),
+                                 (f"{v:.10g}" for v in values)))
+        assert new.read_bytes() == old.read_bytes()
+
+
 class TestCliTrain:
     def make_record_csv(self, tmp_path, n=220):
         k = np.arange(n)

@@ -201,6 +201,20 @@ class TestGenerators:
         with pytest.raises(ValueError):
             lindblad_rhs(np.zeros((2, 2)), [(-0.1, SIGMA_MINUS)], random_density(rng, 2))
 
+    def test_lindblad_rhs_skips_zero_rate_channel(self, rng):
+        H = np.asarray(random_matrix(rng, 2))
+        H = 0.5 * (H + H.conj().T)
+        L1, L2 = random_matrix(rng, 2), random_matrix(rng, 2)
+        rho = random_density(rng, 2)
+        want = lindblad_rhs(H, [(0.3, L1)], rho)
+        assert np.array_equal(lindblad_rhs(H, [(0.3, L1), (0.0, L2)], rho), want)
+        assert np.array_equal(lindblad_rhs(H, [(0.0, L2), (0.3, L1)], rho), want)
+
+    def test_lindblad_rhs_rejects_negative_rate_beside_zero_rate(self, rng):
+        channels = [(0.0, SIGMA_MINUS), (-1e-300, SIGMA_MINUS)]
+        with pytest.raises(ValueError, match="rate"):
+            lindblad_rhs(np.zeros((2, 2)), channels, random_density(rng, 2))
+
     def test_wm_zero_gain_is_bare_decay(self, rng):
         spec = wm_spec(eta=0.8, lam=0.0)
         rho = random_density(rng, 2)

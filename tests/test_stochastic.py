@@ -452,11 +452,28 @@ class TestEnsembleBatch:
         for a, b in zip(chunked.records, whole.records, strict=True):
             assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("n_traj", [1, 3, 7])
+    def test_noise_blocks_continue_each_trajectory_stream(self, monkeypatch, n_traj):
+        # blocks of 13 steps do not divide the 50 steps
+        monkeypatch.setattr(stochastic, "_NOISE_BYTES", 8 * n_traj * 13)
+        seed, n_steps, sd = 17, 50, 0.3
+        views, draws = [], []
+        for block in stochastic._noise_blocks(seed, n_traj, n_steps, sd):
+            views.append(block)
+            draws.append(block.copy())
+        assert [b.shape for b in draws] == [(13, n_traj)] * 3 + [(11, n_traj)]
+        assert all(np.shares_memory(view, views[0]) for view in views[1:])
+        noise = np.concatenate(draws)
+        for i in range(n_traj):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            want = rng.normal(0.0, sd, n_steps)
+            assert np.array_equal(noise[:, i].view(np.int64), want.view(np.int64))
+
     def test_noise_memory_is_bounded(self):
         # 2000 trajectories x 2200 steps: one noise array would take 35 MB
         spec = nf_spec()
         cfg = TrajectoryConfig(dt=0.05, t_final=110.0, seed=5, n_trajectories=2000, tau=55.0)
-        # margin for the step temporaries and the saved generator states
+        # margin for the step temporaries and the live generators
         bound = stochastic._NOISE_BYTES + 4 * 2**20
         assert 8 * cfg.n_trajectories * cfg.n_steps > bound
         tracemalloc.start()
@@ -466,6 +483,18 @@ class TestEnsembleBatch:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+class TestHomodyneRecord:
+    @pytest.mark.parametrize("period", [0.0, -0.5, math.inf, math.nan])
+    def test_rejects_bad_sample_period(self, period):
+        with pytest.raises(ValueError, match="sample_period"):
+            HomodyneRecord(period, np.ones(4))
+
+    @pytest.mark.parametrize("samples", [[], [[1.0, 2.0]], [1.0, math.nan], [-math.inf, 1.0]])
+    def test_rejects_bad_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            HomodyneRecord(0.5, samples)
 
 
 class TestEnsembleMatchesParentLoop:
