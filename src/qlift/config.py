@@ -63,7 +63,7 @@ class ExperimentConfig:
             if not (isinstance(v, int) and v > 0):
                 raise ConfigError(f"config key '{name}' must be a positive integer, got {v!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"config key 'seed' must be a non-negative integer")
+            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed!r}")
         if self.val_fraction >= 1.0:
             raise ConfigError("config key 'val_fraction' must be below 1")
         return self

@@ -38,9 +38,19 @@ class DecayFit:
 
 
 def _loglinear_slope(t: np.ndarray, logy: np.ndarray):
-    slope, intercept = np.polyfit(t, logy, 1)
-    resid = logy - (slope * t + intercept)
-    return slope, float(np.sqrt(np.mean(resid ** 2)))
+    """Least-squares slope of logy against t, and the RMS residual of the line.
+
+    Closed form on the centred data: slope = sum(t~ y~) / sum(t~^2).  Both
+    arrays are centred and then overwritten in place, so the caller must pass
+    arrays it owns and does not read again (both fits pass fresh masked
+    copies); the only buffers are the two inputs.
+    """
+    t -= t.mean()
+    logy -= logy.mean()
+    slope = float(t @ logy / (t @ t))
+    t *= slope
+    logy -= t  # residual of the fitted line
+    return slope, math.sqrt(logy @ logy / logy.size)
 
 
 def fit_exponential(trace: PopulationTrace, floor_fraction: float = FLOOR_FRACTION) -> DecayFit:
@@ -75,8 +85,8 @@ def fit_exponential_offset(trace: PopulationTrace,
     the same log-linear machinery applies to the differences.  Intended for
     deterministic traces that relax to a non-zero steady population.
     """
-    h = np.diff(trace.times)
-    if not np.allclose(h, h[0], rtol=1e-9, atol=0.0):
+    h = trace.times[1] - trace.times[0]
+    if not np.abs(np.diff(trace.times) - h).max() <= 1e-9 * abs(h):  # NaN fails too
         raise FitError("offset fit requires a uniform time grid")
     d = trace.pe[:-1] - trace.pe[1:]
     top = d.max()

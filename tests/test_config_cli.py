@@ -115,6 +115,7 @@ out_dir = elsewhere
         ("[physics]\nr = inf\n", "'r' must be >= 0 and finite"),
         ("[physics]\nphi_lo = inf\n", "'phi_lo' must be finite"),
         ("[ensemble]\nseed = -1\n", "non-negative"),
+        ("[ensemble]\nseed = -1\n", "non-negative integer, got -1$"),
         ("[predictor]\nval_fraction = 1.0\n", "below 1"),
         ("[integration]\ndt = 0\n", "must be positive"),
     ])

@@ -477,6 +477,43 @@ class TestIntegrateDeterministic:
         for (_, rho), (_, rho_ref) in zip(got, want):
             np.testing.assert_allclose(rho, rho_ref, rtol=0, atol=1e-11)
 
+    @pytest.mark.parametrize("generator, spec, dt", [
+        (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2),
+        (ancilla_decay_generator,
+         SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0), 0.004),
+    ])
+    @pytest.mark.parametrize("count", [1, 7, 512])
+    def test_rk4_powers_are_matrix_powers(self, generator, spec, dt, count):
+        M = liouvillian_matrix(generator, spec, spec.dim)
+        n = M.shape[0]
+        powers = dynamics._rk4_powers(M, dt, count)
+        assert powers.shape == (count * n, n) and powers.flags.c_contiguous
+        A = dt * M
+        P = np.eye(n) + A + A @ A / 2 + A @ A @ A / 6 + A @ A @ A @ A / 24
+        np.testing.assert_allclose(powers[:n], P, rtol=1e-12, atol=1e-15)
+        for j in range(1, count + 1):
+            np.testing.assert_allclose(powers[(j - 1) * n:j * n],
+                                       np.linalg.matrix_power(powers[:n], j), rtol=1e-12)
+
+    def test_integrates_state_gershgorin_cannot_certify(self):
+        # a pure state (eigenvalues 0 and 1) whose second Gershgorin disc
+        # reaches 0.1 - 0.3 = -0.2: the screen passes it on to eigvalsh until
+        # damping has raised the ground population (t ~ 10.5)
+        rho0 = np.array([[0.9, 0.3], [0.3, 0.1]], dtype=complex)
+        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
+        cfg = TrajectoryConfig(dt=0.5, t_final=100.0, initial_state=rho0)
+        got, want = [], []
+        pe = integrate_deterministic(no_feedback_generator, spec, cfg,
+                                     observer=lambda t, rho: got.append(rho)).pe
+        pe_ref = reference_integrate(no_feedback_generator, spec, cfg,
+                                     observer=lambda t, rho: want.append(rho))
+        assert np.max(np.abs(pe - pe_ref)) <= 1e-12
+        assert len(got) == len(want) == cfg.n_steps + 1
+        rhos = np.array(got)
+        radius = np.abs(rhos).sum(axis=2)
+        uncertified = (2 * rhos.diagonal(axis1=1, axis2=2).real - radius < -1e-8).any(axis=1)
+        assert uncertified[:21].all() and not uncertified[22:].any()
+
     def test_deterministic_rerun_is_identical(self):
         spec = wm_spec(eta=0.9)
         cfg = TrajectoryConfig(dt=0.25, t_final=25.0)

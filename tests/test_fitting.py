@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qlift import fitting
 from qlift.fitting import (
     DecayFit,
     FitError,
@@ -14,12 +17,58 @@ from qlift.rates import population_curve
 from qlift.traces import PopulationTrace
 
 GAMMA = 0.0123
+N_LONG = 1_150_001  # points in the ancilla trace of `qlift compare` at the defaults
 
 
 def exponential_trace(gamma=GAMMA, t_end=400.0, step=0.5, pe0=1.0, offset=0.0):
     times = np.arange(0.0, t_end + step / 2, step)
     pe = (pe0 - offset) * np.exp(-gamma * times) + offset
     return PopulationTrace(times=times, pe=pe)
+
+
+def polyfit_slope(t, logy):
+    """The np.polyfit line fit that the closed form replaced; the oracle it must match."""
+    slope, intercept = np.polyfit(t, logy, 1)
+    resid = logy - (slope * t + intercept)
+    return slope, float(np.sqrt(np.mean(resid ** 2)))
+
+
+def noisy_trace(rng):
+    times = np.arange(0.0, 300.0, 0.5)
+    noise = 1.0 + 0.01 * rng.standard_normal(times.shape)
+    return PopulationTrace(times=times, pe=np.clip(np.exp(-GAMMA * times) * noise, 1e-12, 1.0))
+
+
+def long_trace(rng):
+    times = (125.0 / (N_LONG - 1)) * np.arange(N_LONG)
+    return PopulationTrace(times=times, pe=0.65 * np.exp(-0.0568 * times) + 0.35)
+
+
+class TestClosedFormFit:
+    @pytest.mark.parametrize("fit", [fit_exponential, fit_exponential_offset])
+    @pytest.mark.parametrize("make_trace", [noisy_trace, long_trace])
+    def test_matches_polyfit(self, fit, make_trace, rng, monkeypatch):
+        trace = make_trace(rng)
+        times, pe = trace.times.copy(), trace.pe.copy()
+        got = fit(trace)
+        # the fit centres its arrays in place; they must be copies, not the trace's
+        assert np.array_equal(trace.times, times) and np.array_equal(trace.pe, pe)
+        monkeypatch.setattr(fitting, "_loglinear_slope", polyfit_slope)
+        want = fit(trace)
+        assert got.gamma_eff == pytest.approx(want.gamma_eff, rel=1e-12, abs=0.0)
+        assert abs(got.rms_residual - want.rms_residual) <= 1e-12
+        assert got.n_points_used == want.n_points_used
+
+    def test_memory_is_bounded(self, rng):
+        # np.polyfit peaks above 8 copies of the fitted points
+        trace = long_trace(rng)
+        tracemalloc.start()
+        try:
+            fit_exponential(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * N_LONG
 
 
 class TestFitExponential:
