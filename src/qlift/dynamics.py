@@ -2,9 +2,12 @@
 
 A scheme generator is a function ``gen(spec, rho) -> drho_dt``.  Generators
 return the full right-hand side of the master equation, so independent decay
-channels can be composed by addition.  All generators here are linear and
-time-invariant, so :func:`integrate_deterministic` writes one RK4 step as a
-fixed matrix and advances whole blocks of steps with its precomputed powers.
+channels can be composed by addition.  A generator must also accept an
+``(n, d, d)`` stack of states and return the stack of their right-hand sides:
+:func:`liouvillian_matrix` builds its matrix from one call on the stack of
+unit matrices.  All generators here are linear and time-invariant, so
+:func:`integrate_deterministic` writes one RK4 step as a fixed matrix and
+advances whole blocks of steps with its precomputed powers.
 """
 
 import math
@@ -40,6 +43,9 @@ class SchemeKind(Enum):
 
 
 _BLOCK = 512  # steps per block in integrate_deterministic: 2 MB of powers at dim 4
+# complex multiply-adds per matrix product in _rk4_powers: half of the 262,144
+# above which OpenBLAS splits a product over threads, which stalls some processes
+_GEMM_MADDS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,7 @@ def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     channels : sequence of (rate, operator)
         Decay channels; each contributes rate * D[operator] rho.
     rho : np.ndarray
-        Density matrix.
+        Density matrix, or a stack of them.
     """
     rho = np.asarray(rho, dtype=complex)
     out = -1j * (H @ rho - rho @ H)
@@ -260,9 +266,18 @@ def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
 
 
 def liouvillian_matrix(generator, spec: SchemeSpec, dim: int) -> np.ndarray:
-    """Matrix of a linear generator acting on row-major vectorized states."""
+    """Matrix of a linear generator acting on row-major vectorized states.
+
+    One generator call on the stack of the dim^2 unit matrices: column j is
+    the generator applied to unit matrix j.  Raises ValueError when the
+    generator does not return one dim x dim matrix per unit matrix.
+    """
     units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    return np.stack([generator(spec, unit).ravel() for unit in units], axis=1)
+    out = generator(spec, units)
+    if np.shape(out) != units.shape:
+        raise ValueError(f"generator returned shape {np.shape(out)} for a stack of "
+                         f"shape {units.shape}")
+    return out.reshape(dim * dim, dim * dim).T
 
 
 def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:
@@ -270,7 +285,8 @@ def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:
 
     Returns one C-contiguous (count n, n) array, n = M's size, whose rows
     j n .. (j + 1) n - 1 hold P^(j+1); reshaped to (count, n, n) it is the
-    stack of powers.  Each doubling step is a single 2-D matrix product.
+    stack of powers.  Each doubling step is a few 2-D matrix products of at
+    most _GEMM_MADDS // n^2 rows each.
     """
     n = M.shape[0]
     eye = P = np.eye(n, dtype=complex)
@@ -278,10 +294,13 @@ def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:
         P = eye + (dt / k) * (M @ P)
     powers = np.empty((count * n, n), dtype=complex)
     powers[:n] = P
+    rows = _GEMM_MADDS // (n * n)
     m = n
-    while m < len(powers):  # doubling: P^(j + m/n) = P^j P^(m/n), one 2-D product
+    while m < len(powers):  # doubling: P^(j + m/n) = P^j P^(m/n)
         k = min(m, len(powers) - m)
-        np.matmul(powers[:k], powers[m - n:m], out=powers[m:m + k])
+        for lo in range(0, k, rows):
+            hi = min(lo + rows, k)
+            np.matmul(powers[lo:hi], powers[m - n:m], out=powers[m + lo:m + hi])
         m += k
     return powers
 
@@ -316,6 +335,10 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     the state carried into the next block is repaired.  Trace collapse and P_e
     outside [0, 1] are audited on every step, positivity at every sample time,
     and the first failure raises IntegrationError (the step is too large).
+    The every-step audits read only each state's diagonal, so a block
+    multiplies only the diagonal rows of each power; full states are formed
+    at the sample times and for the state carried into the next block.  At
+    stride 1 every state is a sample, and the diagonals come from them.
     The positivity audit first bounds each sampled state's lowest eigenvalue
     from below by Gershgorin's theorem; eigvalsh runs only on the states that
     bound does not certify (bound < -1e-8), so the minimum eigenvalue a
@@ -329,6 +352,9 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     # a stack, not one 2-D matrix-vector product: OpenBLAS splits the 2-D
     # product of a whole block over threads, which stalls some processes
     powers = powers.reshape(-1, dim * dim, dim * dim)
+    # the rows of each power that give a state's diagonal, contiguous: a
+    # strided view of them multiplies about 40 % slower at dim 4
+    diag_rows = np.ascontiguousarray(powers[:, ::dim + 1])
     # w . diag(rho) = tr(P_e rho) for the diagonal P_e, system-reduced for dim 4
     w = (PROJ_EXCITED if dim == 2 else tensor(PROJ_EXCITED, IDENTITY)).diagonal().real
 
@@ -339,36 +365,44 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         observer(0.0, rho0.copy())
 
     for first in range(1, n_steps + 1, len(powers)):
-        V = powers[:n_steps + 1 - first] @ v  # V[j] is the state at step first + j
-        diag = V[:, ::dim + 1].real  # diagonal entries of each state
+        count = min(len(powers), n_steps + 1 - first)  # steps first .. first + count - 1
+        if stride == 1:  # every state is sampled, and its diagonal comes with it
+            V = powers[:count] @ v
+            diag = V[:, ::dim + 1].real
+        else:
+            diag = (diag_rows[:count] @ v).real
         tr = diag.sum(axis=1)
         kept = _first_failure(np.abs(tr) >= 1e-12)
         p = diag[:kept] @ w / tr[:kept]
         n_in = _first_failure((p >= -1e-9) & (p <= 1.0 + 1e-9))
-        samples = np.arange(-first % stride, n_in, stride)
-        rhos = hermitize(V[samples].reshape(-1, dim, dim) / tr[samples, None, None])
-        # Gershgorin: every eigenvalue is at least min_i (2 rho_ii - sum_j |rho_ij|),
-        # so only the states with a row below -1e-8 need eigvalsh
-        radius = np.einsum("sij->si", np.abs(rhos))
-        lower = 2.0 * rhos.diagonal(axis1=1, axis2=2).real - radius
-        unsure = np.flatnonzero((lower < -1e-8).any(axis=1))
-        min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0]
-        lost = np.flatnonzero(min_eigs < -1e-8)
-        n_pos = unsure[lost[0]] if lost.size else samples.size
-        if observer is not None:
-            for j, rho in zip(samples[:n_pos], rhos):
-                observer(int(first + j) * dt, rho.copy())
-        if n_pos < samples.size:
-            t = int(first + samples[n_pos]) * dt
-            raise IntegrationError(f"state lost positivity at t={t:.4g} "
-                                   f"(min eigenvalue {min_eigs[lost[0]]:.3e}); reduce dt")
+        sampled = slice(-first % stride, n_in, stride)
+        samples = range(n_in)[sampled]  # offsets of the sampled steps from first
+        if samples:  # positivity at the sample times the block holds
+            states = V[sampled] if stride == 1 else powers[sampled] @ v
+            rhos = hermitize(states.reshape(-1, dim, dim) / tr[sampled, None, None])
+            # Gershgorin: every eigenvalue is at least min_i (2 rho_ii - sum_j |rho_ij|),
+            # so only the states with a row below -1e-8 need eigvalsh
+            radius = np.einsum("sij->si", np.abs(rhos))
+            lower = 2.0 * rhos.diagonal(axis1=1, axis2=2).real - radius
+            unsure = np.flatnonzero((lower < -1e-8).any(axis=1))
+            min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0]
+            lost = np.flatnonzero(min_eigs < -1e-8)
+            n_pos = unsure[lost[0]] if lost.size else len(samples)
+            if observer is not None:
+                for j, rho in zip(samples[:n_pos], rhos):
+                    observer((first + j) * dt, rho.copy())
+            if n_pos < len(samples):
+                t = (first + samples[n_pos]) * dt
+                raise IntegrationError(f"state lost positivity at t={t:.4g} "
+                                       f"(min eigenvalue {min_eigs[lost[0]]:.3e}); reduce dt")
         if n_in < kept:
             raise IntegrationError(f"population left [0, 1] at step {first + n_in} "
                                    f"(P_e={p[n_in]:.3e}); reduce dt")
-        if kept < len(V):
+        if kept < count:
             raise IntegrationError("state trace collapsed during integration")
-        pe[first:first + len(V)] = p
-        v = repair_density(V[-1].reshape(dim, dim)).ravel()
+        pe[first:first + count] = p
+        last = V[-1] if stride == 1 else powers[count - 1] @ v
+        v = repair_density(last.reshape(dim, dim)).ravel()
 
     times = dt * np.arange(n_steps + 1)
     return PopulationTrace(times=times, pe=np.clip(pe, 0.0, 1.0))

@@ -36,10 +36,11 @@ def _check_square(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def dissipator(L: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[L] rho = L rho L+ - (L+L rho + rho L+L) / 2."""
+    """Lindblad dissipator D[L] rho = L rho L+ - (L+L rho + rho L+L) / 2,
+    state by state on a stack of states."""
     L = _check_square(L, "L")
-    rho = _check_square(rho, "rho")
-    if L.shape != rho.shape:
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != L.shape:
         raise ValueError(f"dimension mismatch: L is {L.shape}, rho is {rho.shape}")
     Ld = L.conj().T
     LdL = Ld @ L

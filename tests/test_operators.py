@@ -87,6 +87,17 @@ class TestDissipator:
         with pytest.raises(ValueError, match="mismatch"):
             dissipator(SIGMA_MINUS, np.eye(4) / 4)
 
+    def test_stack_matches_per_state(self, rng):
+        for dim in (2, 4):
+            L = random_matrix(rng, dim)
+            rhos = np.array([random_matrix(rng, dim) for _ in range(5)])
+            out = dissipator(L, rhos)
+            assert out.shape == rhos.shape
+            for rho, got in zip(rhos, out):
+                assert np.array_equal(got, dissipator(L, rho))
+        with pytest.raises(ValueError, match="mismatch"):
+            dissipator(SIGMA_MINUS, np.zeros((3, 4, 4)))
+
 
 class TestAdjointDissipator:
     def test_duality_on_random_triples(self, rng):
