@@ -2,10 +2,9 @@
 
 A scheme generator is a function ``gen(spec, rho) -> drho_dt``.  Generators
 return the full right-hand side of the master equation, so independent decay
-channels can be composed by addition.  A generator must also accept an
-``(n, d, d)`` stack of states and return the stack of their right-hand sides:
-:func:`liouvillian_matrix` builds its matrix from one call on the stack of
-unit matrices.  All generators here are linear and time-invariant, so
+channels can be composed by addition.  The generators here also accept an
+``(n, d, d)`` stack of states and return the stack of their right-hand sides.
+All generators here are linear and time-invariant, so
 :func:`integrate_deterministic` writes one RK4 step as a fixed matrix and
 advances whole blocks of steps with its precomputed powers.
 """
@@ -268,16 +267,17 @@ def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
 def liouvillian_matrix(generator, spec: SchemeSpec, dim: int) -> np.ndarray:
     """Matrix of a linear generator acting on row-major vectorized states.
 
-    One generator call on the stack of the dim^2 unit matrices: column j is
-    the generator applied to unit matrix j.  Raises ValueError when the
-    generator does not return one dim x dim matrix per unit matrix.
+    Column j is the generator applied to unit matrix j.  Raises ValueError
+    when the generator does not return a dim x dim matrix.
     """
-    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    out = generator(spec, units)
-    if np.shape(out) != units.shape:
-        raise ValueError(f"generator returned shape {np.shape(out)} for a stack of "
-                         f"shape {units.shape}")
-    return out.reshape(dim * dim, dim * dim).T
+    columns = []
+    for unit in np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim):
+        out = generator(spec, unit)
+        if np.shape(out) != unit.shape:
+            raise ValueError(f"generator returned shape {np.shape(out)} for a state of "
+                             f"shape {unit.shape}")
+        columns.append(out.ravel())
+    return np.stack(columns, axis=1)
 
 
 def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:

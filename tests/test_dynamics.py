@@ -91,13 +91,6 @@ def reference_integrate(generator, spec, config, observer=None):
     return np.clip(pe, 0.0, 1.0)
 
 
-def probe_liouvillian(generator, spec, dim):
-    """Liouvillian from one generator call per unit matrix, the reference for
-    the single stacked call of liouvillian_matrix."""
-    units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
-    return np.stack([generator(spec, unit).ravel() for unit in units], axis=1)
-
-
 def integration_error(integrate, generator, spec, config):
     """Message of the IntegrationError the integration raises, and the
     observer times seen before it."""
@@ -338,14 +331,13 @@ class TestGenerators:
         (ancilla_feedback_generator,
          SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, eta=0.7, lambda_gain=0.05,
                     g=0.3, kappa=2.0)),
-        (lambda s, rho: -no_feedback_generator(s, rho),
-         SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)),
-        (lambda s, rho: -s.gamma * dissipator(SIGMA_Z, rho),
-         SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)),
     ])
-    def test_liouvillian_matrix_equals_probe_loop(self, generator, spec):
-        M = liouvillian_matrix(generator, spec, spec.dim)
-        assert np.array_equal(M, probe_liouvillian(generator, spec, spec.dim))
+    def test_generators_accept_a_stack_of_states(self, generator, spec, rng):
+        rhos = np.array([random_density(rng, spec.dim) for _ in range(5)])
+        out = generator(spec, rhos)
+        assert out.shape == rhos.shape
+        for rho, got in zip(rhos, out):
+            assert np.array_equal(got, generator(spec, rho))
 
     def test_liouvillian_matrix_rejects_wrong_shape(self):
         spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
@@ -491,6 +483,9 @@ class TestIntegrateDeterministic:
         (ancilla_decay_generator,
          SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0),
          0.004, 1300, 9),
+        # a sample period longer than a block: some blocks hold no sample
+        pytest.param(wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2, 2000, 700,
+                     id="stride-over-block"),
     ])
     def test_block_propagator_matches_step_loop(self, generator, spec, dt, n_steps,
                                                 stride):
@@ -523,22 +518,6 @@ class TestIntegrateDeterministic:
                                                        tau=stride * dt)).pe
               for stride in (1, 7)]
         assert np.array_equal(pe[0], pe[1])
-
-    def test_sample_period_longer_than_block(self):
-        # samples at steps 700 and 1400 only: the first and last blocks hold none
-        spec = wm_spec(eta=0.6, lam=0.03)
-        stride = 700
-        assert stride > dynamics._BLOCK
-        cfg = TrajectoryConfig(dt=0.2, t_final=2000 * 0.2, tau=stride * 0.2)
-        got, want = [], []
-        pe = integrate_deterministic(wm_generator, spec, cfg,
-                                     observer=lambda t, rho: got.append((t, rho))).pe
-        pe_ref = reference_integrate(wm_generator, spec, cfg,
-                                     observer=lambda t, rho: want.append((t, rho)))
-        assert np.max(np.abs(pe - pe_ref)) <= 1e-11
-        assert [t for t, _ in got] == [t for t, _ in want] == [0.0, 140.0, 280.0]
-        for (_, rho), (_, rho_ref) in zip(got, want):
-            np.testing.assert_allclose(rho, rho_ref, rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("generator, spec, dt", [
         (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2),
