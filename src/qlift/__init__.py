@@ -13,12 +13,7 @@ from .dynamics import (
     TrajectoryConfig,
     ancilla_decay_generator,
     ancilla_feedback_generator,
-    build_hamiltonian,
-    check_step_size,
-    feedback_terms,
     integrate_deterministic,
-    lindblad_rhs,
-    liouvillian_matrix,
     no_feedback_generator,
     wm_generator,
 )
@@ -31,29 +26,13 @@ from .fitting import (
     fit_exponential,
     fit_exponential_offset,
 )
-from .operators import (
-    adjoint_dissipator,
-    check_density,
-    dissipator,
-    excited_state,
-    hermitize,
-    partial_trace_ancilla,
-    project_physical,
-    repair_density,
-    tensor,
-)
 from .predictor import (
     Mlp,
     TrainSettings,
     TrainingDiverged,
-    WindowDataset,
     build_dataset,
     correlation_r,
-    forward,
-    gradients,
-    init_mlp,
     load_model,
-    loss_mse,
     predict_next,
     save_model,
     train,
@@ -68,7 +47,7 @@ from .rates import (
     population_curve,
     rate_table,
 )
-from .stochastic import EnsembleResult, run_ensemble, sme_step
+from .stochastic import EnsembleResult, run_ensemble
 from .traces import HomodyneRecord, PopulationTrace
 
 __version__ = "0.1.0"

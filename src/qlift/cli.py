@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
 """
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -42,20 +41,18 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, lines):
+    """Write a header row, then ``lines``: rows formatted by the caller, each
+    ending in \\r\\n.  No cell needs quoting, so these are the bytes
+    csv.writer would write."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
 
 
 def _write_series(path, header, times, values):
-    # the bytes csv.writer would write (no cell needs quoting), formatted
-    # from Python floats, which format far faster than numpy scalars
-    rows = "".join(f"{t:.6f},{v:.10g}\r\n"
-                   for t, v in zip(times.tolist(), values.tolist()))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n" + rows)
+    # formatted from Python floats, which format far faster than numpy scalars
+    _write_csv(path, header, (f"{t:.6f},{v:.10g}\r\n"
+                              for t, v in zip(times.tolist(), values.tolist())))
 
 
 def _resolve_config(args) -> ExperimentConfig:
@@ -88,27 +85,35 @@ def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final=None, **kwargs) -> Tr
                             tau=stride * dt, **kwargs)
 
 
-def _scheme_specs(cfg: ExperimentConfig):
-    """The comparison set: bare decay, feedback at optimal gain per eta, ancilla."""
-    out = [("no_feedback", SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma),
-            no_feedback_generator, cfg.gamma)]
-    for eta in cfg.eta_list:
-        lam = rates_mod.optimal_lambda(cfg.gamma, eta)
-        spec = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=cfg.gamma, eta=eta,
-                          lambda_gain=lam, phi_lo=cfg.phi_lo)
-        out.append((f"wm_eta_{eta:g}", spec, wm_generator,
-                    rates_mod.gamma_wm(cfg.gamma, eta, lam)))
+def _rate_table(cfg: ExperimentConfig):
+    """The cooperativity and the closed-form rate of every scheme, by name."""
     c = rates_mod.cooperativity(cfg.g, cfg.kappa, cfg.gamma)
+    return c, rates_mod.rate_table(cfg.gamma, etas=cfg.eta_list, c=c, r=cfg.r)
+
+
+def _scheme_specs(cfg: ExperimentConfig):
+    """The comparison set as (name, spec, generator): bare decay, feedback at
+    optimal gain per eta, ancilla, named as in the rate table."""
+    yield "no_feedback", SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma), no_feedback_generator
+    for eta in cfg.eta_list:
+        spec = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=cfg.gamma, eta=eta,
+                          lambda_gain=rates_mod.optimal_lambda(cfg.gamma, eta),
+                          phi_lo=cfg.phi_lo)
+        yield rates_mod.wm_scheme_name(eta), spec, wm_generator
     spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=cfg.gamma, g=cfg.g,
                       kappa=cfg.kappa)
-    out.append(("ancilla", spec, ancilla_decay_generator,
-                rates_mod.gamma_ancilla(cfg.gamma, c)))
-    return out
+    yield "ancilla", spec, ancilla_decay_generator
+
+
+def _simulate_records(cfg: ExperimentConfig, n: int):
+    """n homodyne trajectories of the monitored qubit without feedback."""
+    spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma, eta=cfg.eta,
+                      phi_lo=cfg.phi_lo)
+    return run_ensemble(spec, _grid(spec, cfg, n_trajectories=n))
 
 
 def cmd_rates(cfg: ExperimentConfig, args) -> int:
-    c = rates_mod.cooperativity(cfg.g, cfg.kappa, cfg.gamma)
-    table = rates_mod.rate_table(cfg.gamma, etas=cfg.eta_list, c=c, r=cfg.r)
+    c, table = _rate_table(cfg)
     print(cfg.echo())
     print(f"\ncooperativity C = {c:.4f}")
     print(f"{'scheme':<14} {'rate [1/us]':>12} {'T1 [us]':>10}")
@@ -116,26 +121,23 @@ def cmd_rates(cfg: ExperimentConfig, args) -> int:
         print(f"{row.scheme:<14} {row.gamma_eff:>12.6f} {row.t1:>10.2f}")
     path = os.path.join(cfg.out_dir, "rates.csv")
     _write_csv(path, ["scheme", "gamma_eff_per_us", "t1_us"],
-               [(row.scheme, f"{row.gamma_eff:.10g}", f"{row.t1:.6f}") for row in table])
+               (f"{row.scheme},{row.gamma_eff:.10g},{row.t1:.6f}\r\n" for row in table))
     print(f"\nwrote {path}")
     return EXIT_OK
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     print(cfg.echo())
-    c = rates_mod.cooperativity(cfg.g, cfg.kappa, cfg.gamma)
+    _, table = _rate_table(cfg)
     times = np.linspace(0.0, cfg.t_final, round(cfg.t_final / cfg.tau) + 1)
-    for row in rates_mod.rate_table(cfg.gamma, etas=cfg.eta_list, c=c, r=cfg.r):
+    for row in table:
         trace = rates_mod.population_curve(row.gamma_eff, times)
         path = os.path.join(cfg.out_dir, f"pe_{row.scheme}.csv")
         _write_series(path, ["time_us", "pe"], trace.times, trace.pe)
         print(f"wrote {path}  (rate {row.gamma_eff:.6f}/us, T1 {row.t1:.2f} us)")
 
     if args.records > 0:
-        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma, eta=cfg.eta,
-                          phi_lo=cfg.phi_lo)
-        grid = _grid(spec, cfg, n_trajectories=args.records)
-        result = run_ensemble(spec, grid)
+        result = _simulate_records(cfg, args.records)
         for i, record in enumerate(result.records):
             path = os.path.join(cfg.out_dir, f"record_{i:03d}.csv")
             _write_series(path, ["time_us", "current"], record.times, record.samples)
@@ -153,7 +155,11 @@ def _record_from_csv(path) -> HomodyneRecord:
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
         raise ConfigError(f"{path}: expected two columns time_us,current")
     periods = np.diff(data[:, 0])
-    return HomodyneRecord(float(np.median(periods)), data[:, 1])
+    # a non-finite current or a period that is not positive
+    try:
+        return HomodyneRecord(float(np.median(periods)), data[:, 1])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_train(cfg: ExperimentConfig, args) -> int:
@@ -162,10 +168,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         record = _record_from_csv(args.record)
         print(f"loaded record {args.record} ({record.samples.shape[0]} samples)")
     else:
-        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma, eta=cfg.eta,
-                          phi_lo=cfg.phi_lo)
-        grid = _grid(spec, cfg, n_trajectories=1)
-        record = run_ensemble(spec, grid).records[0]
+        record = _simulate_records(cfg, 1).records[0]
         print(f"simulated a fresh record ({record.samples.shape[0]} samples)")
 
     settings = TrainSettings(learning_rate=cfg.learning_rate,
@@ -195,8 +198,10 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     print(cfg.echo())
+    _, table = _rate_table(cfg)
+    model = {row.scheme: row.gamma_eff for row in table}
     rows = []
-    for name, spec, generator, gamma_model in _scheme_specs(cfg):
+    for name, spec, generator in _scheme_specs(cfg):
         # a fixed multiple of the bare lifetime is long enough for every
         # scheme without assuming the model rate is the realized one
         horizon = min(cfg.t_final, 2.5 / cfg.gamma)
@@ -206,6 +211,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
             fit = fit_exponential_offset(trace)
         else:
             fit = fit_exponential(trace)
+        gamma_model = model[name]
         dev = 100.0 * (fit.gamma_eff - gamma_model) / gamma_model
         rows.append((name, fit.gamma_eff, gamma_model, fit.t1, 1.0 / gamma_model, dev))
 
@@ -217,8 +223,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
     _write_csv(path,
                ["scheme", "gamma_fit_per_us", "gamma_model_per_us",
                 "t1_fit_us", "t1_model_us", "deviation_pct"],
-               [(n, f"{gf:.10g}", f"{gm:.10g}", f"{t1f:.4f}", f"{t1m:.4f}", f"{d:.3f}")
-                for n, gf, gm, t1f, t1m, d in rows])
+               (f"{n},{gf:.10g},{gm:.10g},{t1f:.4f},{t1m:.4f},{d:.3f}\r\n"
+                for n, gf, gm, t1f, t1m, d in rows))
     print(f"\nwrote {path}")
     return EXIT_OK
 

@@ -8,6 +8,8 @@ name and line number, as are unparseable values.
 import math
 from dataclasses import dataclass, fields
 
+from .rates import wm_scheme_name
+
 
 class ConfigError(ValueError):
     """Bad configuration input; the message carries file:line where known."""
@@ -54,8 +56,14 @@ class ExperimentConfig:
         for e in self.eta_list:
             if not (0.0 < e <= 1.0):
                 raise ConfigError(f"config key 'eta_list' entries must lie in (0, 1], got {e!r}")
+        if len({wm_scheme_name(e) for e in self.eta_list}) < len(self.eta_list):
+            raise ConfigError("config key 'eta_list' entries must be distinct to 6 significant "
+                              f"digits (they name the feedback schemes), got {self.eta_list!r}")
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise ConfigError(f"config key 'r' must be >= 0 and finite, got {self.r!r}")
+        if self.r >= 1.0:
+            # the ancilla_ml rate gamma (1 - r^2) / (1 + C) would be zero
+            raise ConfigError(f"config key 'r' must be below 1, got {self.r!r}")
         if not math.isfinite(self.phi_lo):
             raise ConfigError(f"config key 'phi_lo' must be finite, got {self.phi_lo!r}")
         for name in ("n_trajectories", "window", "batch_size", "patience", "max_epochs"):

@@ -42,8 +42,8 @@ def _loglinear_slope(t: np.ndarray, logy: np.ndarray):
 
     Closed form on the centred data: slope = sum(t~ y~) / sum(t~^2).  Both
     arrays are centred and then overwritten in place, so the caller must pass
-    arrays it owns and does not read again (both fits pass fresh masked
-    copies); the only buffers are the two inputs.
+    arrays it owns and does not read again (_fit_above_floor passes fresh
+    masked copies); the only buffers are the two inputs.
     """
     t -= t.mean()
     logy -= logy.mean()
@@ -53,10 +53,25 @@ def _loglinear_slope(t: np.ndarray, logy: np.ndarray):
     return slope, math.sqrt(logy @ logy / logy.size)
 
 
-def fit_exponential(trace: PopulationTrace, floor_fraction: float = FLOOR_FRACTION) -> DecayFit:
+def _fit_above_floor(t: np.ndarray, y: np.ndarray, top: float, what: str) -> DecayFit:
+    """Log-linear decay fit of y against t over the points above
+    FLOOR_FRACTION * top; ``what`` names those points in the error message."""
+    mask = y > FLOOR_FRACTION * top
+    n = int(mask.sum())
+    if n < MIN_POINTS:
+        raise InsufficientPointsError(
+            f"only {n} usable {what} above the floor, need {MIN_POINTS}"
+        )
+    slope, rms = _loglinear_slope(t[mask], np.log(y[mask]))
+    if slope >= 0.0:
+        raise NonDecayingTraceError(f"fitted slope {slope:.3e} is not negative")
+    return DecayFit(gamma_eff=-slope, rms_residual=rms, n_points_used=n)
+
+
+def fit_exponential(trace: PopulationTrace) -> DecayFit:
     """Fit P_e(t) = P_e(0) exp(-gamma t) by least squares on log P_e.
 
-    Samples below floor_fraction * P_e(0) are excluded so the fit never
+    Samples below FLOOR_FRACTION * P_e(0) are excluded so the fit never
     chases noise near zero.  Raises InsufficientPointsError with fewer than
     MIN_POINTS usable samples and NonDecayingTraceError when the fitted
     slope is not negative.
@@ -64,26 +79,17 @@ def fit_exponential(trace: PopulationTrace, floor_fraction: float = FLOOR_FRACTI
     pe0 = trace.pe[0]
     if pe0 <= 0.0:
         raise FitError("initial population must be positive for a decay fit")
-    mask = trace.pe > floor_fraction * pe0
-    n = int(mask.sum())
-    if n < MIN_POINTS:
-        raise InsufficientPointsError(
-            f"only {n} usable points above the floor, need {MIN_POINTS}"
-        )
-    slope, rms = _loglinear_slope(trace.times[mask], np.log(trace.pe[mask]))
-    if slope >= 0.0:
-        raise NonDecayingTraceError(f"fitted slope {slope:.3e} is not negative")
-    return DecayFit(gamma_eff=-slope, rms_residual=rms, n_points_used=n)
+    return _fit_above_floor(trace.times, trace.pe, pe0, "points")
 
 
-def fit_exponential_offset(trace: PopulationTrace,
-                           floor_fraction: float = FLOOR_FRACTION) -> DecayFit:
+def fit_exponential_offset(trace: PopulationTrace) -> DecayFit:
     """Fit P_e(t) = A exp(-gamma t) + B without knowing the plateau B.
 
     On a uniform grid the successive differences P_e(t_k) - P_e(t_k + h)
     equal A (1 - e^{-gamma h}) e^{-gamma t_k}, so the offset drops out and
-    the same log-linear machinery applies to the differences.  Intended for
-    deterministic traces that relax to a non-zero steady population.
+    the same log-linear fit applies to the differences above FLOOR_FRACTION
+    of the largest.  Intended for deterministic traces that relax to a
+    non-zero steady population.
     """
     h = trace.times[1] - trace.times[0]
     if not np.abs(np.diff(trace.times) - h).max() <= 1e-9 * abs(h):  # NaN fails too
@@ -92,16 +98,7 @@ def fit_exponential_offset(trace: PopulationTrace,
     top = d.max()
     if top <= 0.0:
         raise NonDecayingTraceError("population never decreases; nothing to fit")
-    mask = d > floor_fraction * top
-    n = int(mask.sum())
-    if n < MIN_POINTS:
-        raise InsufficientPointsError(
-            f"only {n} usable differences above the floor, need {MIN_POINTS}"
-        )
-    slope, rms = _loglinear_slope(trace.times[:-1][mask], np.log(d[mask]))
-    if slope >= 0.0:
-        raise NonDecayingTraceError(f"fitted slope {slope:.3e} is not negative")
-    return DecayFit(gamma_eff=-slope, rms_residual=rms, n_points_used=n)
+    return _fit_above_floor(trace.times[:-1], d, top, "differences")
 
 
 def energy_retention(trace: PopulationTrace, t_upper: float) -> float:

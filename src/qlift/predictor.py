@@ -19,6 +19,10 @@ import numpy as np
 from .traces import HomodyneRecord
 
 HIDDEN_SIZES = (32, 16)
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -165,9 +169,6 @@ def _unflatten(theta, shapes):
 @dataclass(frozen=True)
 class TrainSettings:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 32
     patience: int = 20
     max_epochs: int = 2000
@@ -234,13 +235,13 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
             grads = gradients(mlp, Zo[start:stop], yo[start:stop])
             g = np.concatenate([d.ravel() for d in grads])
             t_adam += 1
-            bc1 = 1.0 - settings.beta1 ** t_adam
-            bc2 = 1.0 - settings.beta2 ** t_adam
-            m_adam *= settings.beta1
-            m_adam += (1.0 - settings.beta1) * g
-            v_adam *= settings.beta2
-            v_adam += (1.0 - settings.beta2) * g * g
-            theta -= settings.learning_rate * (m_adam / bc1) / (np.sqrt(v_adam / bc2) + settings.eps)
+            bc1 = 1.0 - ADAM_BETA1 ** t_adam
+            bc2 = 1.0 - ADAM_BETA2 ** t_adam
+            m_adam *= ADAM_BETA1
+            m_adam += (1.0 - ADAM_BETA1) * g
+            v_adam *= ADAM_BETA2
+            v_adam += (1.0 - ADAM_BETA2) * g * g
+            theta -= settings.learning_rate * (m_adam / bc1) / (np.sqrt(v_adam / bc2) + ADAM_EPS)
 
         val_mse = loss_mse(mlp, Zv, yv)
         if not math.isfinite(val_mse):

@@ -44,6 +44,11 @@ def gamma_wm(gamma: float, eta: float, lam: float) -> float:
     return gamma - 2.0 * math.sqrt(eta * gamma) * lam + 2.0 * lam * lam
 
 
+def wm_scheme_name(eta: float) -> str:
+    """Row and file name of homodyne feedback at efficiency eta (6 digits)."""
+    return f"wm_eta_{eta:g}"
+
+
 def optimal_lambda(gamma: float, eta: float) -> float:
     """Gain minimizing gamma_wm: lam* = sqrt(eta gamma) / 2, giving
     Gamma(lam*) = gamma (1 - eta/2)."""
@@ -72,7 +77,8 @@ def gamma_ml(gamma: float, c: float, r: float) -> float:
     """Predictor-assisted rate Gamma = [gamma / (1 + C)] (1 - r^2).
 
     r is the predictor's correlation score.  Values outside [0, 1] are clamped
-    here, with a warning; this is the only place that boundary is enforced.
+    here, with a warning.  The configuration rejects r outside [0, 1), since
+    r = 1 leaves no rate and no lifetime.
     """
     base = gamma_ancilla(gamma, c)
     if not math.isfinite(r):
@@ -83,13 +89,11 @@ def gamma_ml(gamma: float, c: float, r: float) -> float:
     return base * (1.0 - r * r)
 
 
-def population_curve(gamma_eff: float, times: np.ndarray, pe0: float = 1.0) -> PopulationTrace:
-    """Model decay curve P_e(t) = pe0 exp(-gamma_eff t) on the given grid."""
+def population_curve(gamma_eff: float, times: np.ndarray) -> PopulationTrace:
+    """Model decay curve P_e(t) = exp(-gamma_eff t) on the given grid."""
     gamma_eff = _check_rate(gamma_eff, "gamma_eff")
-    if not (0.0 < pe0 <= 1.0):
-        raise ValueError(f"pe0 must lie in (0, 1], got {pe0!r}")
     times = np.asarray(times, dtype=float)
-    return PopulationTrace(times=times, pe=pe0 * np.exp(-gamma_eff * times))
+    return PopulationTrace(times=times, pe=np.exp(-gamma_eff * times))
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ class RateResult:
         return 1.0 / self.gamma_eff
 
 
-def rate_table(gamma: float, etas=(0.5, 1.0), c: float = 1.84, r: float = 0.54):
+def rate_table(gamma: float, etas, c: float, r: float):
     """Closed-form rate summary across all schemes.
 
     Returns a list of RateResult rows: bare decay, homodyne feedback at the
@@ -118,7 +122,7 @@ def rate_table(gamma: float, etas=(0.5, 1.0), c: float = 1.84, r: float = 0.54):
     rows = [RateResult("no_feedback", _check_rate(gamma, "gamma"))]
     for eta in etas:
         lam = optimal_lambda(gamma, eta)
-        rows.append(RateResult(f"wm_eta_{eta:g}", gamma_wm(gamma, eta, lam)))
+        rows.append(RateResult(wm_scheme_name(eta), gamma_wm(gamma, eta, lam)))
     rows.append(RateResult("ancilla", gamma_ancilla(gamma, c)))
     rows.append(RateResult("ancilla_ml", gamma_ml(gamma, c, r)))
     return rows

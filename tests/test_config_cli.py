@@ -110,9 +110,12 @@ out_dir = elsewhere
         ("[physics]\ngamma = -0.02\n", "must be positive"),
         ("[physics]\neta = 1.5\n", r"lie in \(0, 1\]"),
         ("[physics]\neta_list = 0.5, 2.0\n", "eta_list"),
+        ("[physics]\neta_list = 0.5, 0.5000001\n", "'eta_list' entries must be distinct"),
         ("[physics]\nfeedback_axis = z\n", "unknown key 'feedback_axis'"),
         ("[physics]\nr = -0.1\n", "must be >= 0"),
         ("[physics]\nr = inf\n", "'r' must be >= 0 and finite"),
+        ("[physics]\nr = 1.0\n", "'r' must be below 1, got 1.0$"),
+        ("[physics]\nr = 1.5\n", "'r' must be below 1, got 1.5$"),
         ("[physics]\nphi_lo = inf\n", "'phi_lo' must be finite"),
         ("[ensemble]\nseed = -1\n", "non-negative"),
         ("[ensemble]\nseed = -1\n", "non-negative integer, got -1$"),
@@ -280,6 +283,29 @@ class TestCliTrain:
         assert code == 2
         assert "bad.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, complaint", [
+        ("0.0,0.1\n0.5,nan\n1.0,0.2\n", "record contains non-finite samples"),
+        ("0.0,0.1\n0.0,0.3\n0.0,0.2\n", "sample_period must be positive and finite"),
+    ], ids=["nan-current", "equal-times"])
+    def test_invalid_record_is_config_error(self, tmp_path, capsys, rows, complaint):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_us,current\n" + rows)
+        code = main(["train", "--out", str(tmp_path / "res"), "--record", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {path}: {complaint}" in err
+        assert "Traceback" not in err
+
+    def test_train_on_a_simulated_record(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, FAST_SIM + "[predictor]\nmax_epochs = 30\npatience = 5\n")
+        out = tmp_path / "res"
+        code = main(["train", "--config", cfg, "--out", str(out)])
+        assert code == 0
+        # t_final / tau = 20 / 0.5 samples
+        assert "simulated a fresh record (40 samples)" in capsys.readouterr().out
+        blob = json.loads((out / "model.json").read_text())
+        assert blob["metadata"]["epochs_run"] <= 30
+
     def test_missing_record_is_io_error(self, tmp_path, capsys):
         code = main(["train", "--out", str(tmp_path / "res"),
                      "--record", str(tmp_path / "absent.csv")])
@@ -314,6 +340,16 @@ class TestCliCompare:
         # model rate, and the table reports that gap rather than hiding it
         assert float(by_name["ancilla"][5]) > 100.0
 
+    def test_model_rates_are_the_rate_table(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_COMPARE)
+        out = tmp_path / "res"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+        model = {r[0]: r[2] for r in read_csv(out / "compare.csv")[1]}
+        table = {r[0]: r[1] for r in read_csv(out / "rates.csv")[1]}
+        assert set(model) == {"no_feedback", "wm_eta_0.5", "wm_eta_1", "ancilla"}
+        assert model == {name: table[name] for name in model}
+
 
 def grid_by_search(spec, cfg):
     """Reference for cli._grid: the same dt rule, with dt shrunk by search."""
@@ -343,7 +379,7 @@ class TestGrid:
     ])
     def test_direct_dt_matches_search(self, overrides):
         cfg = ExperimentConfig(**overrides).validate()
-        for _, spec, _, _ in cli._scheme_specs(cfg):
+        for _, spec, _ in cli._scheme_specs(cfg):
             got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
             assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
 
@@ -354,7 +390,7 @@ class TestGrid:
                                    dt=float(10 ** rng.uniform(-4, 0)),
                                    tau=float(10 ** rng.uniform(-2, 0.5)),
                                    kappa=0.92 * float(10 ** rng.uniform(0, 3))).validate()
-            for _, spec, _, _ in cli._scheme_specs(cfg):
+            for _, spec, _ in cli._scheme_specs(cfg):
                 got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
                 assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
 

@@ -69,14 +69,15 @@ def reference_train(dataset, settings=TrainSettings()):
             batch = order[start: start + settings.batch_size]
             grads = gradients(mlp, Zt[batch], yt[batch])
             t_adam += 1
-            bc1 = 1.0 - settings.beta1 ** t_adam
-            bc2 = 1.0 - settings.beta2 ** t_adam
+            bc1 = 1.0 - predictor.ADAM_BETA1 ** t_adam
+            bc2 = 1.0 - predictor.ADAM_BETA2 ** t_adam
             for p, g, m_, v_ in zip(mlp.params, grads, m_adam, v_adam):
-                m_ *= settings.beta1
-                m_ += (1.0 - settings.beta1) * g
-                v_ *= settings.beta2
-                v_ += (1.0 - settings.beta2) * g * g
-                p -= settings.learning_rate * (m_ / bc1) / (np.sqrt(v_ / bc2) + settings.eps)
+                m_ *= predictor.ADAM_BETA1
+                m_ += (1.0 - predictor.ADAM_BETA1) * g
+                v_ *= predictor.ADAM_BETA2
+                v_ += (1.0 - predictor.ADAM_BETA2) * g * g
+                p -= (settings.learning_rate * (m_ / bc1)
+                      / (np.sqrt(v_ / bc2) + predictor.ADAM_EPS))
         val_mse = loss_mse(mlp, Zv, yv)
         if not math.isfinite(val_mse):
             return best_params, None
