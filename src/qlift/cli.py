@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -155,9 +156,13 @@ def _record_from_csv(path) -> HomodyneRecord:
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
         raise ConfigError(f"{path}: expected two columns time_us,current")
     periods = np.diff(data[:, 0])
+    period = float(np.median(periods))
+    # six-decimal times put each period within 1e-6 us of the true one
+    if np.any(np.abs(periods - period) > 2e-6):
+        raise ConfigError(f"{path}: times are not uniformly spaced")
     # a non-finite current or a period that is not positive
     try:
-        return HomodyneRecord(float(np.median(periods)), data[:, 1])
+        return HomodyneRecord(period, data[:, 1])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -171,10 +176,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         record = _simulate_records(cfg, 1).records[0]
         print(f"simulated a fresh record ({record.samples.shape[0]} samples)")
 
-    settings = TrainSettings(learning_rate=cfg.learning_rate,
-                             batch_size=cfg.batch_size, patience=cfg.patience,
-                             max_epochs=cfg.max_epochs,
-                             val_fraction=cfg.val_fraction, seed=cfg.seed)
+    # every TrainSettings field is a config key of the same name
+    settings = TrainSettings(**{f.name: getattr(cfg, f.name) for f in fields(TrainSettings)})
     # a record too short for the window or for the validation carve-out
     try:
         model = train(build_dataset(record, window=cfg.window), settings)

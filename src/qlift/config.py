@@ -6,8 +6,9 @@ name and line number, as are unparseable values.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from .predictor import TrainSettings
 from .rates import wm_scheme_name
 
 
@@ -34,11 +35,11 @@ class ExperimentConfig:
     seed: int = 7
     # predictor
     window: int = 5
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    patience: int = 20
-    max_epochs: int = 2000
-    val_fraction: float = 0.2
+    learning_rate: float = TrainSettings.learning_rate
+    batch_size: int = TrainSettings.batch_size
+    patience: int = TrainSettings.patience
+    max_epochs: int = TrainSettings.max_epochs
+    val_fraction: float = TrainSettings.val_fraction
     # output
     out_dir: str = "results"
 
@@ -95,23 +96,14 @@ _SCHEMA = {
     "output": ("out_dir",),
 }
 
-_FIELD_TYPES = {
-    f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-    for f in fields(ExperimentConfig)
-}
-
 
 def _coerce(name: str, raw: str, where: str):
-    kind = _FIELD_TYPES[name]
+    kind = type(getattr(ExperimentConfig, name))
     raw = raw.strip()
     try:
-        if kind == "tuple":
+        if kind is tuple:
             return tuple(float(part) for part in raw.split(",") if part.strip())
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse value {raw!r} for key '{name}'") from None
 

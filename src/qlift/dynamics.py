@@ -25,7 +25,6 @@ from .operators import (
     dissipator,
     excited_state,
     hermitize,
-    repair_density,
     tensor,
 )
 from .traces import PopulationTrace
@@ -331,8 +330,11 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         Excited-state population of the system at every step, t = 0 included.
 
     One RK4 step is a fixed matrix P, so a block of steps is one product with
-    the precomputed powers of P; each state is normalized by its own trace and
-    the state carried into the next block is repaired.  Trace collapse and P_e
+    the precomputed powers of P.  The state carried into the next block is the
+    product as it stands, unrepaired: P keeps the trace and Hermiticity a
+    Lindblad generator keeps, and each state is divided by its own trace
+    where it is read.  The loss of a generator that does not keep the trace
+    therefore builds up over the whole run.  Trace collapse and P_e
     outside [0, 1] are audited on every step, positivity at every sample time,
     and the first failure raises IntegrationError (the step is too large).
     The every-step audits read only each state's diagonal, so a block
@@ -401,8 +403,7 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         if kept < count:
             raise IntegrationError("state trace collapsed during integration")
         pe[first:first + count] = p
-        last = V[-1] if stride == 1 else powers[count - 1] @ v
-        v = repair_density(last.reshape(dim, dim)).ravel()
+        v = V[-1] if stride == 1 else powers[count - 1] @ v
 
     times = dt * np.arange(n_steps + 1)
     return PopulationTrace(times=times, pe=np.clip(pe, 0.0, 1.0))

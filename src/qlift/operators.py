@@ -75,20 +75,6 @@ def hermitize(rho: np.ndarray) -> np.ndarray:
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
-def repair_density(rho: np.ndarray) -> np.ndarray:
-    """Cheap state repair: hermitize, then renormalize the trace to 1.
-
-    integrate_deterministic applies it to the state it carries from one block
-    of steps into the next.  It does not touch the spectrum; see
-    :func:`project_physical` for a positivity fix.
-    """
-    rho = hermitize(np.asarray(rho, dtype=complex))
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        raise ValueError("state trace collapsed to zero; cannot renormalize")
-    return rho / tr
-
-
 def project_physical(rho: np.ndarray) -> np.ndarray:
     """Project onto the physical set: hermitize, clip negative eigenvalues,
     renormalize.  For a 2x2 state with Bloch vector r this is

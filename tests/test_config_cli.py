@@ -286,7 +286,10 @@ class TestCliTrain:
     @pytest.mark.parametrize("rows, complaint", [
         ("0.0,0.1\n0.5,nan\n1.0,0.2\n", "record contains non-finite samples"),
         ("0.0,0.1\n0.0,0.3\n0.0,0.2\n", "sample_period must be positive and finite"),
-    ], ids=["nan-current", "equal-times"])
+        # 80 samples 0.5 us apart but for one gap of 80.5 us
+        ("".join(f"{0.5 * k + 80.0 * (k >= 40):.6f},{math.sin(0.4 * k):.6f}\n"
+                 for k in range(80)), "times are not uniformly spaced"),
+    ], ids=["nan-current", "equal-times", "gapped-times"])
     def test_invalid_record_is_config_error(self, tmp_path, capsys, rows, complaint):
         path = tmp_path / "bad.csv"
         path.write_text("time_us,current\n" + rows)
@@ -295,6 +298,21 @@ class TestCliTrain:
         err = capsys.readouterr().err
         assert f"configuration error: {path}: {complaint}" in err
         assert "Traceback" not in err
+
+    def test_simulated_record_round_trip(self, tmp_path, capsys):
+        # tau = 1/3 gives a sample period of 50/143 us, whose six-decimal
+        # times (0.349650, 0.699301, ...) are not evenly spaced to the digit
+        cfg = write_config(tmp_path, "[integration]\nt_final = 50.0\n"
+                                     "tau = 0.3333333333333333\n"
+                                     "[predictor]\nmax_epochs = 30\npatience = 5\n")
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--records", "1"]) == 0
+        record = out / "record_000.csv"
+        times = np.loadtxt(record, delimiter=",", skiprows=1)[:, 0]
+        assert np.ptp(np.diff(times)) > 0
+        assert main(["train", "--config", cfg, "--out", str(out),
+                     "--record", str(record)]) == 0
+        assert f"loaded record {record} (143 samples)" in capsys.readouterr().out
 
     def test_train_on_a_simulated_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_SIM + "[predictor]\nmax_epochs = 30\npatience = 5\n")

@@ -18,7 +18,6 @@ from qlift.operators import (
     hermitize,
     partial_trace_ancilla,
     project_physical,
-    repair_density,
     tensor,
 )
 
@@ -156,17 +155,6 @@ class TestHermitize:
 
 
 class TestStateRepair:
-    def test_repair_hermitizes_and_normalizes(self, rng):
-        rho = random_density(rng, 2)
-        messy = 1.7 * rho + 1e-3 * random_matrix(rng, 2)
-        fixed = repair_density(messy)
-        np.testing.assert_allclose(fixed, fixed.conj().T, atol=ATOL)
-        assert abs(np.trace(fixed) - 1.0) < ATOL
-
-    def test_repair_zero_trace_raises(self):
-        with pytest.raises(ValueError, match="trace"):
-            repair_density(np.diag([1.0, -1.0]).astype(complex))
-
     def test_projection_clips_negative_eigenvalue(self):
         rho = np.diag([1.1, -0.1]).astype(complex)
         fixed = project_physical(rho)
