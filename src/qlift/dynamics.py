@@ -41,9 +41,17 @@ class SchemeKind(Enum):
 
 
 _BLOCK = 512  # steps per block in integrate_deterministic: 2 MB of powers at dim 4
-# complex multiply-adds per matrix product in _rk4_powers: half of the 262,144
-# above which OpenBLAS splits a product over threads, which stalls some processes
+# complex multiply-adds per matrix-matrix product: half of the 262,144 above
+# which OpenBLAS splits a product over threads, which stalls some processes
 _GEMM_MADDS = 1 << 17
+
+# two-qubit operators of the ancilla scheme (system factor first), read-only
+_SIGMA_MINUS_S = tensor(SIGMA_MINUS, IDENTITY)
+_SIGMA_MINUS_A = tensor(IDENTITY, SIGMA_MINUS)
+_EXCHANGE = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
+_PROJ_EXCITED_S = tensor(PROJ_EXCITED, IDENTITY)
+for _op in (_SIGMA_MINUS_S, _SIGMA_MINUS_A, _EXCHANGE, _PROJ_EXCITED_S):
+    _op.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ def build_hamiltonian(spec: SchemeSpec) -> np.ndarray:
     """
     if spec.dim == 2:
         return np.zeros((2, 2), dtype=complex)
-    return spec.g * (tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS))
+    return spec.g * _EXCHANGE
 
 
 def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
@@ -256,10 +264,7 @@ def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
 
     -i[H, rho] + gamma D[sigma_-^S] rho + kappa D[sigma_-^A] rho
     """
-    channels = [
-        (spec.gamma, tensor(SIGMA_MINUS, IDENTITY)),
-        (spec.kappa, tensor(IDENTITY, SIGMA_MINUS)),
-    ]
+    channels = [(spec.gamma, _SIGMA_MINUS_S), (spec.kappa, _SIGMA_MINUS_A)]
     return lindblad_rhs(build_hamiltonian(spec), channels, rho)
 
 
@@ -306,7 +311,7 @@ def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:
 
 def _first_failure(ok: np.ndarray) -> int:
     """Index of the first False entry of ok, or len(ok) if every entry holds."""
-    return int(np.append(ok, False).argmin())
+    return len(ok) if ok.all() else int(ok.argmin())
 
 
 def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfig,
@@ -329,81 +334,76 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     PopulationTrace
         Excited-state population of the system at every step, t = 0 included.
 
-    One RK4 step is a fixed matrix P, so a block of steps is one product with
-    the precomputed powers of P.  The state carried into the next block is the
-    product as it stands, unrepaired: P keeps the trace and Hermiticity a
-    Lindblad generator keeps, and each state is divided by its own trace
-    where it is read.  The loss of a generator that does not keep the trace
-    therefore builds up over the whole run.  Trace collapse and P_e
-    outside [0, 1] are audited on every step, positivity at every sample time,
-    and the first failure raises IntegrationError (the step is too large).
-    The every-step audits read only each state's diagonal, so a block
-    multiplies only the diagonal rows of each power; full states are formed
-    at the sample times and for the state carried into the next block.  At
-    stride 1 every state is a sample, and the diagonals come from them.
-    The positivity audit first bounds each sampled state's lowest eigenvalue
-    from below by Gershgorin's theorem; eigvalsh runs only on the states that
-    bound does not certify (bound < -1e-8), so the minimum eigenvalue a
-    failure reports always comes from eigvalsh.
+    One RK4 step is a fixed matrix P, and the run is taken in chunks of
+    blocks of _BLOCK steps.  Pass 1 carries each block's start state,
+    S[b] = P^_BLOCK S[b - 1], unrepaired: P keeps the trace and Hermiticity
+    a Lindblad generator keeps, each state is divided by its own trace where
+    it is read, and the loss of a generator that does not keep the trace
+    builds up over the run.  Pass 2 reads every step's trace and P_e from one
+    product of the chunk's block starts with the functionals tr and tr(P_e .)
+    of each power of P.  Trace collapse and P_e outside [0, 1] are audited on
+    every step, positivity (by eigvalsh where a Gershgorin bound cannot
+    certify it) at every sample time, where alone full states are formed.
+    The first failure in step order raises IntegrationError (reduce dt).
     """
     check_step_size(spec, config)
     rho0 = _initial_state(spec, config)
-    dim = spec.dim
+    dim, n = spec.dim, spec.dim ** 2
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
-    powers = _rk4_powers(liouvillian_matrix(generator, spec, dim), dt, min(_BLOCK, n_steps))
-    # a stack, not one 2-D matrix-vector product: OpenBLAS splits the 2-D
-    # product of a whole block over threads, which stalls some processes
-    powers = powers.reshape(-1, dim * dim, dim * dim)
-    # the rows of each power that give a state's diagonal, contiguous: a
-    # strided view of them multiplies about 40 % slower at dim 4
-    diag_rows = np.ascontiguousarray(powers[:, ::dim + 1])
-    # w . diag(rho) = tr(P_e rho) for the diagonal P_e, system-reduced for dim 4
-    w = (PROJ_EXCITED if dim == 2 else tensor(PROJ_EXCITED, IDENTITY)).diagonal().real
+    block = min(_BLOCK, n_steps)
+    # a stack: OpenBLAS splits one 2-D product of a whole block over threads
+    powers = _rk4_powers(liouvillian_matrix(generator, spec, dim), dt, block).reshape(-1, n, n)
+    # columns 2j, 2j + 1: tr and tr(P_e .) of P^(j+1), its diagonal-giving rows summed
+    # with weights 1 and w; C-contiguous, so S @ reads is _rk4_powers's BLAS product
+    w = (PROJ_EXCITED if dim == 2 else _PROJ_EXCITED_S).diagonal().real
+    weights = np.array([np.ones(dim), w], dtype=complex).T
+    reads = np.matmul(powers[:, ::dim + 1].transpose(2, 0, 1), weights).reshape(n, 2 * block)
+    # blocks per chunk: S @ reads under _GEMM_MADDS, two rows or more (OpenBLAS threads gemv)
+    chunk = max(2, min(-(-n_steps // block), _GEMM_MADDS // reads.size))
+    S = np.tile(rho0.ravel(), (chunk, 1))  # the block starts of one chunk, S[0] = rho0
 
-    v = rho0.ravel().astype(complex)
     pe = np.empty(n_steps + 1)
     pe[0] = rho0.diagonal().real @ w
     if observer is not None:
         observer(0.0, rho0.copy())
 
-    for first in range(1, n_steps + 1, len(powers)):
-        count = min(len(powers), n_steps + 1 - first)  # steps first .. first + count - 1
-        if stride == 1:  # every state is sampled, and its diagonal comes with it
-            V = powers[:count] @ v
-            diag = V[:, ::dim + 1].real
-        else:
-            diag = (diag_rows[:count] @ v).real
-        tr = diag.sum(axis=1)
-        kept = _first_failure(np.abs(tr) >= 1e-12)
-        p = diag[:kept] @ w / tr[:kept]
+    for first in range(1, n_steps + 1, chunk * block):
+        m = min(chunk * block, n_steps + 1 - first)  # steps first .. first + m - 1
+        nb = -(-m // block)
+        with np.errstate(over="ignore", invalid="ignore"):  # past a failure, states may overflow
+            for b in range(first == 1, nb):  # pass 1; S[-1] ended the previous chunk
+                np.matmul(powers[-1], S[b - 1], out=S[b])
+            tr, num = (S[:max(nb, 2)] @ reads).real.reshape(-1, 2)[:m].T  # pass 2
+            kept = _first_failure(np.abs(tr) >= 1e-12)
+            p = pe[first:first + kept] = num[:kept] / tr[:kept]
         n_in = _first_failure((p >= -1e-9) & (p <= 1.0 + 1e-9))
-        sampled = slice(-first % stride, n_in, stride)
-        samples = range(n_in)[sampled]  # offsets of the sampled steps from first
-        if samples:  # positivity at the sample times the block holds
-            states = V[sampled] if stride == 1 else powers[sampled] @ v
-            rhos = hermitize(states.reshape(-1, dim, dim) / tr[sampled, None, None])
-            # Gershgorin: every eigenvalue is at least min_i (2 rho_ii - sum_j |rho_ij|),
-            # so only the states with a row below -1e-8 need eigvalsh
-            radius = np.einsum("sij->si", np.abs(rhos))
-            lower = 2.0 * rhos.diagonal(axis1=1, axis2=2).real - radius
-            unsure = np.flatnonzero((lower < -1e-8).any(axis=1))
-            min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0]
-            lost = np.flatnonzero(min_eigs < -1e-8)
-            n_pos = unsure[lost[0]] if lost.size else len(samples)
-            if observer is not None:
-                for j, rho in zip(samples[:n_pos], rhos):
-                    observer((first + j) * dt, rho.copy())
-            if n_pos < len(samples):
-                t = (first + samples[n_pos]) * dt
-                raise IntegrationError(f"state lost positivity at t={t:.4g} "
-                                       f"(min eigenvalue {min_eigs[lost[0]]:.3e}); reduce dt")
+        for b in range(-(-n_in // block)):  # positivity at the sample times, block by block
+            at = first + b * block  # the step of powers[0] @ S[b]
+            sampled = slice(-at % stride, n_in - b * block, stride)
+            samples = range(block)[sampled]  # offsets of the sampled steps from at
+            if samples:
+                states = powers[sampled] @ S[b]
+                states /= tr[b * block:(b + 1) * block][sampled, None]
+                rhos = hermitize(states.reshape(-1, dim, dim))
+                # Gershgorin: every eigenvalue is at least min_i (2 rho_ii - sum_j |rho_ij|),
+                # so only the states with a row below -1e-8 need eigvalsh
+                radius = np.einsum("sij->si", np.abs(rhos))
+                lower = 2.0 * rhos.diagonal(axis1=1, axis2=2).real - radius
+                unsure = np.flatnonzero((lower < -1e-8).any(axis=1))
+                min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0]
+                lost = np.flatnonzero(min_eigs < -1e-8)
+                n_pos = unsure[lost[0]] if lost.size else len(samples)
+                if observer is not None:
+                    for j, rho in zip(samples[:n_pos], rhos):
+                        observer((at + j) * dt, rho.copy())
+                if n_pos < len(samples):
+                    t = (at + samples[n_pos]) * dt
+                    raise IntegrationError(f"state lost positivity at t={t:.4g} (min "
+                                           f"eigenvalue {min_eigs[lost[0]]:.3e}); reduce dt")
         if n_in < kept:
             raise IntegrationError(f"population left [0, 1] at step {first + n_in} "
                                    f"(P_e={p[n_in]:.3e}); reduce dt")
-        if kept < count:
+        if kept < m:
             raise IntegrationError("state trace collapsed during integration")
-        pe[first:first + count] = p
-        v = V[-1] if stride == 1 else powers[count - 1] @ v
 
-    times = dt * np.arange(n_steps + 1)
-    return PopulationTrace(times=times, pe=np.clip(pe, 0.0, 1.0))
+    return PopulationTrace(times=dt * np.arange(n_steps + 1), pe=np.clip(pe, 0.0, 1.0))

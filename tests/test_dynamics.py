@@ -40,6 +40,9 @@ from qlift.operators import (
 from conftest import random_density, random_matrix
 
 GAMMA = 0.02
+# blocks per chunk of integrate_deterministic at dim 4: its product of the
+# block starts with the (16, 2 _BLOCK) functionals stays under _GEMM_MADDS
+CHUNK_DIM4 = dynamics._GEMM_MADDS // (16 * 2 * dynamics._BLOCK)
 
 
 def reference_integrate(generator, spec, config, observer=None):
@@ -547,6 +550,11 @@ class TestIntegrateDeterministic:
         # a sample period longer than a block: some blocks hold no sample
         pytest.param(wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2, 2000, 700,
                      id="stride-over-block"),
+        # one chunk of blocks at dim 4, then a last chunk of exactly one block
+        pytest.param(ancilla_decay_generator,
+                     SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0),
+                     0.004, CHUNK_DIM4 * dynamics._BLOCK + 217, 9,
+                     id="last-chunk-one-block"),
     ])
     def test_block_propagator_matches_step_loop(self, generator, spec, dt, n_steps,
                                                 stride):
@@ -565,6 +573,29 @@ class TestIntegrateDeterministic:
         assert [t for t, _ in got] == [t for t, _ in want]
         for (_, rho), (_, rho_ref) in zip(got, want):
             np.testing.assert_allclose(rho, rho_ref, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("generator, rho0, t_final, tau, where", [
+        # anti-dephasing from a coherence of 1e-12 breaks positivity near
+        # t = 673.5, first sampled at t = 675 (step 1350): in the third block
+        # of the first chunk
+        pytest.param(lambda s, rho: -s.gamma * dissipator(SIGMA_Z, rho),
+                     [[0.5, 1e-12], [1e-12, 0.5]], 1000.0, 2.5, "at t=675 ",
+                     id="positivity-later-block"),
+        # -50 D[sigma_-] grows P_e from 1e-300 as e^t: it leaves [0, 1] at
+        # step 1383, and the states carried past that step overflow
+        pytest.param(lambda s, rho: -50 * no_feedback_generator(s, rho),
+                     np.diag([1e-300, 1 - 1e-300]), 20000.0, 2.5, "at step 1383 ",
+                     id="overflow-past-failure"),
+    ])
+    def test_first_failure_matches_step_loop(self, generator, rho0, t_final, tau, where):
+        # the audits read a whole chunk of blocks at once; the failure they
+        # report, and the samples observed before it, are the step loop's
+        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
+        cfg = TrajectoryConfig(dt=0.5, t_final=t_final, tau=tau,
+                               initial_state=np.array(rho0, dtype=complex))
+        got = integration_error(integrate_deterministic, generator, spec, cfg)
+        assert got == integration_error(reference_integrate, generator, spec, cfg)
+        assert where in got[0]
 
     @pytest.mark.parametrize("generator, spec, dt", [
         (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2),
