@@ -6,9 +6,13 @@ channels can be composed by addition.  The generators here also accept an
 ``(n, d, d)`` stack of states and return the stack of their right-hand sides.
 All generators here are linear and time-invariant, so
 :func:`integrate_deterministic` writes one RK4 step as a fixed matrix and
-advances whole blocks of steps with its precomputed powers.
+advances whole blocks of steps with its precomputed powers.  A Lindblad
+generator keeps Hermiticity, so that matrix is real in the coordinates
+x = (rho_ii; Re rho_ij, Im rho_ij for i < j) of a Hermitian state, and the
+integrator works in them.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -24,7 +28,6 @@ from .operators import (
     check_density,
     dissipator,
     excited_state,
-    hermitize,
     tensor,
 )
 from .traces import PopulationTrace
@@ -40,8 +43,8 @@ class SchemeKind(Enum):
     ANCILLA_COHERENT = "ancilla_coherent"
 
 
-_BLOCK = 512  # steps per block in integrate_deterministic: 2 MB of powers at dim 4
-# complex multiply-adds per matrix-matrix product: half of the 262,144 above
+_BLOCK = 512  # steps per block in integrate_deterministic: 1 MB of powers at dim 4
+# multiply-adds per matrix-matrix product: half of the 262,144 above
 # which OpenBLAS splits a product over threads, which stalls some processes
 _GEMM_MADDS = 1 << 17
 
@@ -52,6 +55,29 @@ _EXCHANGE = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
 _PROJ_EXCITED_S = tensor(PROJ_EXCITED, IDENTITY)
 for _op in (_SIGMA_MINUS_S, _SIGMA_MINUS_A, _EXCHANGE, _PROJ_EXCITED_S):
     _op.setflags(write=False)
+
+
+def _hermitian_coordinates(dim: int) -> tuple:
+    """(U, V) with vec rho = U x and x = V vec rho, for the real coordinates
+    x = (rho_ii; Re rho_ij, Im rho_ij for i < j) of a Hermitian dim x dim
+    matrix, vec row-major.  V U is the identity exactly."""
+    n = dim * dim
+    U = np.zeros((n, n), dtype=complex)
+    V = np.zeros((n, n), dtype=complex)
+    for i in range(dim):
+        U[i * dim + i, i] = V[i, i * dim + i] = 1.0
+    for k, (i, j) in enumerate(itertools.combinations(range(dim), 2)):
+        re, im, ij, ji = dim + 2 * k, dim + 2 * k + 1, i * dim + j, j * dim + i
+        U[ij, re] = U[ji, re] = 1.0
+        U[ij, im], U[ji, im] = 1j, -1j
+        V[re, ij] = V[re, ji] = 0.5
+        V[im, ij], V[im, ji] = -0.5j, 0.5j
+    U.setflags(write=False)
+    V.setflags(write=False)
+    return U, V
+
+
+_COORDINATES = {dim: _hermitian_coordinates(dim) for dim in (2, 4)}  # read-only
 
 
 @dataclass(frozen=True)
@@ -287,16 +313,16 @@ def liouvillian_matrix(generator, spec: SchemeSpec, dim: int) -> np.ndarray:
 def _rk4_powers(M: np.ndarray, dt: float, count: int) -> np.ndarray:
     """P^1 ... P^count for the RK4 step matrix P = sum_{k<=4} (dt M)^k / k!.
 
-    Returns one C-contiguous (count n, n) array, n = M's size, whose rows
-    j n .. (j + 1) n - 1 hold P^(j+1); reshaped to (count, n, n) it is the
-    stack of powers.  Each doubling step is a few 2-D matrix products of at
+    Returns one C-contiguous (count n, n) array of M's dtype, n = M's size,
+    whose rows j n .. (j + 1) n - 1 hold P^(j+1); reshaped to (count, n, n)
+    it is the stack of powers.  Each doubling step is a few 2-D matrix products of at
     most _GEMM_MADDS // n^2 rows each.
     """
     n = M.shape[0]
-    eye = P = np.eye(n, dtype=complex)
+    eye = P = np.eye(n, dtype=M.dtype)
     for k in (4, 3, 2, 1):  # Horner form of the degree-4 Taylor polynomial
         P = eye + (dt / k) * (M @ P)
-    powers = np.empty((count * n, n), dtype=complex)
+    powers = np.empty((count * n, n), dtype=M.dtype)
     powers[:n] = P
     rows = _GEMM_MADDS // (n * n)
     m = n
@@ -334,33 +360,47 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     PopulationTrace
         Excited-state population of the system at every step, t = 0 included.
 
-    One RK4 step is a fixed matrix P, and the run is taken in chunks of
-    blocks of _BLOCK steps.  Pass 1 carries each block's start state,
-    S[b] = P^_BLOCK S[b - 1], unrepaired: P keeps the trace and Hermiticity
-    a Lindblad generator keeps, each state is divided by its own trace where
-    it is read, and the loss of a generator that does not keep the trace
-    builds up over the run.  Pass 2 reads every step's trace and P_e from one
-    product of the chunk's block starts with the functionals tr and tr(P_e .)
-    of each power of P.  Trace collapse and P_e outside [0, 1] are audited on
-    every step, positivity (by eigvalsh where a Gershgorin bound cannot
-    certify it) at every sample time, where alone full states are formed.
-    The first failure in step order raises IntegrationError (reduce dt).
+    Raises ValueError when the generator does not keep Hermiticity: its
+    matrix in the coordinates x = (rho_ii; Re rho_ij, Im rho_ij for i < j)
+    has an imaginary part above 1e-12 max|L|, L its Liouvillian.
+
+    One RK4 step is a fixed real matrix P acting on x, and the run is taken
+    in chunks of blocks of _BLOCK steps, all in float64.  Pass 1 carries
+    each block's start state, S[b] = P^_BLOCK S[b - 1], unrepaired: P keeps
+    the trace a Lindblad generator keeps, each state is divided by its own
+    trace where it is read, and the loss of a generator that does not keep
+    the trace builds up over the run.  Pass 2 reads every step's trace and
+    P_e from one product of the chunk's block starts with the functionals tr
+    and tr(P_e .) of each power of P, which read its first dim rows (the
+    diagonal).  Trace collapse and P_e outside [0, 1] are audited on every
+    step, positivity (by eigvalsh where a Gershgorin bound cannot certify it)
+    at every sample time, where alone full states are formed, Hermitian by
+    construction.  The first failure in step order raises IntegrationError
+    (reduce dt).
     """
     check_step_size(spec, config)
     rho0 = _initial_state(spec, config)
     dim, n = spec.dim, spec.dim ** 2
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
     block = min(_BLOCK, n_steps)
+    U, V = _COORDINATES[dim]
+    L = liouvillian_matrix(generator, spec, dim)
+    M = V @ L @ U
+    leak = np.abs(M.imag).max()
+    if leak > 1e-12 * np.abs(L).max():
+        raise ValueError("generator does not keep Hermiticity: its matrix in Hermitian "
+                         f"coordinates has an imaginary part {leak:.3e}")
     # a stack: OpenBLAS splits one 2-D product of a whole block over threads
-    powers = _rk4_powers(liouvillian_matrix(generator, spec, dim), dt, block).reshape(-1, n, n)
-    # columns 2j, 2j + 1: tr and tr(P_e .) of P^(j+1), its diagonal-giving rows summed
-    # with weights 1 and w; C-contiguous, so S @ reads is _rk4_powers's BLAS product
+    powers = _rk4_powers(np.ascontiguousarray(M.real), dt, block).reshape(-1, n, n)
+    # columns 2j, 2j + 1: tr and tr(P_e .) of P^(j+1), its first dim rows summed with
+    # weights 1 and w; C-contiguous, so S @ reads is _rk4_powers's BLAS product
     w = (PROJ_EXCITED if dim == 2 else _PROJ_EXCITED_S).diagonal().real
-    weights = np.array([np.ones(dim), w], dtype=complex).T
-    reads = np.matmul(powers[:, ::dim + 1].transpose(2, 0, 1), weights).reshape(n, 2 * block)
+    weights = np.array([np.ones(dim), w]).T
+    reads = np.matmul(powers[:, :dim].transpose(2, 0, 1), weights).reshape(n, 2 * block)
     # blocks per chunk: S @ reads under _GEMM_MADDS, two rows or more (OpenBLAS threads gemv)
     chunk = max(2, min(-(-n_steps // block), _GEMM_MADDS // reads.size))
-    S = np.tile(rho0.ravel(), (chunk, 1))  # the block starts of one chunk, S[0] = rho0
+    S = np.zeros((chunk, n))  # the block starts of one chunk
+    S[0] = (V @ rho0.ravel()).real
 
     pe = np.empty(n_steps + 1)
     pe[0] = rho0.diagonal().real @ w
@@ -373,7 +413,7 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         with np.errstate(over="ignore", invalid="ignore"):  # past a failure, states may overflow
             for b in range(first == 1, nb):  # pass 1; S[-1] ended the previous chunk
                 np.matmul(powers[-1], S[b - 1], out=S[b])
-            tr, num = (S[:max(nb, 2)] @ reads).real.reshape(-1, 2)[:m].T  # pass 2
+            tr, num = (S[:max(nb, 2)] @ reads).reshape(-1, 2)[:m].T  # pass 2
             kept = _first_failure(np.abs(tr) >= 1e-12)
             p = pe[first:first + kept] = num[:kept] / tr[:kept]
         n_in = _first_failure((p >= -1e-9) & (p <= 1.0 + 1e-9))
@@ -382,15 +422,14 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
             sampled = slice(-at % stride, n_in - b * block, stride)
             samples = range(block)[sampled]  # offsets of the sampled steps from at
             if samples:
-                states = powers[sampled] @ S[b]
-                states /= tr[b * block:(b + 1) * block][sampled, None]
-                rhos = hermitize(states.reshape(-1, dim, dim))
+                xs = powers[sampled] @ S[b]
+                xs /= tr[b * block:(b + 1) * block][sampled, None]
+                rhos = (xs @ U.T).reshape(-1, dim, dim)
                 # Gershgorin: every eigenvalue is at least min_i (2 rho_ii - sum_j |rho_ij|),
                 # so only the states with a row below -1e-8 need eigvalsh
-                radius = np.einsum("sij->si", np.abs(rhos))
-                lower = 2.0 * rhos.diagonal(axis1=1, axis2=2).real - radius
+                lower = 2.0 * xs[:, :dim] - np.einsum("sij->si", np.abs(rhos))
                 unsure = np.flatnonzero((lower < -1e-8).any(axis=1))
-                min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0]
+                min_eigs = np.linalg.eigvalsh(rhos[unsure])[:, 0] if unsure.size else np.empty(0)
                 lost = np.flatnonzero(min_eigs < -1e-8)
                 n_pos = unsure[lost[0]] if lost.size else len(samples)
                 if observer is not None:

@@ -111,6 +111,23 @@ def wm_spec(eta=1.0, lam=None, gamma=GAMMA, **kw):
                       lambda_gain=lam, **kw)
 
 
+def real_matrix(L, dim):
+    """L in the Hermitian coordinates integrate_deterministic works in."""
+    U, V = dynamics._COORDINATES[dim]
+    return np.ascontiguousarray((V @ L @ U).real)
+
+
+ANCILLA_FEEDBACK = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, eta=0.7,
+                              lambda_gain=0.05, g=0.3, kappa=2.0)
+SCHEME_GENERATORS = [
+    (no_feedback_generator, SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)),
+    (wm_generator, wm_spec(eta=0.6, lam=0.03, phi_lo=0.4)),
+    (ancilla_decay_generator,
+     SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0)),
+    (ancilla_feedback_generator, ANCILLA_FEEDBACK),
+]
+
+
 class TestSchemeSpec:
     def test_dim(self):
         assert SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA).dim == 2
@@ -327,15 +344,7 @@ class TestGenerators:
                 atol=1e-12,
             )
 
-    @pytest.mark.parametrize("generator, spec", [
-        (no_feedback_generator, SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)),
-        (wm_generator, wm_spec(eta=0.6, lam=0.03, phi_lo=0.4)),
-        (ancilla_decay_generator,
-         SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0)),
-        (ancilla_feedback_generator,
-         SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, eta=0.7, lambda_gain=0.05,
-                    g=0.3, kappa=2.0)),
-    ])
+    @pytest.mark.parametrize("generator, spec", SCHEME_GENERATORS)
     def test_generators_accept_a_stack_of_states(self, generator, spec, rng):
         rhos = np.array([random_density(rng, spec.dim) for _ in range(5)])
         out = generator(spec, rhos)
@@ -351,6 +360,23 @@ class TestGenerators:
                 liouvillian_matrix(broken, spec, 2)
             with pytest.raises(ValueError, match="shape"):
                 integrate_deterministic(broken, spec, TrajectoryConfig(dt=0.1, t_final=1.0))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_hermitian_coordinates_invert_exactly(self, dim, rng):
+        U, V = dynamics._COORDINATES[dim]
+        assert np.array_equal(V @ U, np.eye(dim * dim))
+        assert not (U.flags.writeable or V.flags.writeable)
+        rho = random_density(rng, dim)
+        x = V @ rho.ravel()
+        np.testing.assert_allclose(x.imag, 0.0, atol=1e-16)
+        assert np.array_equal(x[:dim].real, rho.diagonal().real)
+        np.testing.assert_allclose(U @ x.real, rho.ravel(), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("generator, spec", SCHEME_GENERATORS)
+    def test_liouvillian_is_real_in_hermitian_coordinates(self, generator, spec):
+        U, V = dynamics._COORDINATES[spec.dim]
+        L = liouvillian_matrix(generator, spec, spec.dim)
+        assert np.abs((V @ L @ U).imag).max() <= 1e-16 * np.abs(L).max()
 
 
 class TestIntegrateDeterministic:
@@ -465,6 +491,26 @@ class TestIntegrateDeterministic:
         integrate_deterministic(wm_generator, spec, cfg,
                                 observer=lambda t, rho: check_density(rho))
 
+    @pytest.mark.parametrize("generator, spec, dt", [
+        (wm_generator, wm_spec(eta=0.6, lam=0.03, phi_lo=0.4), 0.2),
+        (ancilla_feedback_generator, ANCILLA_FEEDBACK, 0.004),
+    ])
+    def test_observer_states_are_exactly_hermitian(self, generator, spec, dt, rng):
+        # states are formed from real coordinates, so no repair is needed
+        rho0 = hermitize(random_density(rng, spec.dim))
+        cfg = TrajectoryConfig(dt=dt, t_final=1300 * dt, tau=9 * dt, initial_state=rho0)
+        rhos = []
+        integrate_deterministic(generator, spec, cfg, observer=lambda t, rho: rhos.append(rho))
+        assert len(rhos) == 1300 // 9 + 1
+        assert all(np.array_equal(rho, rho.conj().T) for rho in rhos)
+        assert min(np.abs(rho.imag).max() for rho in rhos) > 1e-3
+
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
+        with pytest.raises(ValueError, match="Hermiticity"):
+            integrate_deterministic(lambda s, rho: SIGMA_MINUS @ rho, spec,
+                                    TrajectoryConfig(dt=0.1, t_final=1.0))
+
     def test_rejects_oversized_step(self):
         spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
         with pytest.raises(ValueError, match="too large"):
@@ -514,19 +560,21 @@ class TestIntegrateDeterministic:
     def test_block_powers_keep_trace_and_hermiticity(self, generator, spec, rng):
         # the state carried from block to block is not repaired: over the
         # 2,247 blocks of qlift compare's ancilla run at the defaults (125 us,
-        # 1,150,000 steps) these states drift at most 2.1e-11 in trace and
-        # 1.7e-12 in Hermiticity, inside the tolerance states are held to
+        # 1,150,000 steps) its real coordinates drift at most 3.0e-11 in
+        # trace, inside the tolerance states are held to; the states formed
+        # from them are Hermitian by construction
         n_steps, dim = 1_150_000, spec.dim
-        M = liouvillian_matrix(generator, spec, dim)
+        U, V = dynamics._COORDINATES[dim]
+        M = real_matrix(liouvillian_matrix(generator, spec, dim), dim)
         step = dynamics._rk4_powers(M, 125.0 / n_steps, dynamics._BLOCK)[-dim * dim:]
-        v = random_density(rng, dim).ravel()
-        trace_drift = herm_defect = 0.0
+        x = (V @ random_density(rng, dim).ravel()).real
+        trace_drift = 0.0
         for _ in range(-(-n_steps // dynamics._BLOCK)):
-            v = step @ v
-            rho = v.reshape(dim, dim)
-            trace_drift = max(trace_drift, abs(np.trace(rho) - 1.0))
-            herm_defect = max(herm_defect, np.max(np.abs(rho - rho.conj().T)))
-        assert trace_drift < STATE_ATOL and herm_defect < STATE_ATOL
+            x = step @ x
+            trace_drift = max(trace_drift, abs(x[:dim].sum() - 1.0))
+        assert trace_drift < STATE_ATOL
+        rho = (U @ x).reshape(dim, dim)
+        assert np.array_equal(rho, rho.conj().T)
 
     def test_detects_lost_positivity(self):
         # anti-dephasing -gamma D[sigma_z] grows the coherence as
@@ -543,10 +591,12 @@ class TestIntegrateDeterministic:
         assert "at t=14 " in got[0] and got[1][-1] == 12.0
 
     @pytest.mark.parametrize("generator, spec, dt, n_steps, stride", [
+        (no_feedback_generator, SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA), 0.2, 1337, 7),
         (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2, 1337, 7),
         (ancilla_decay_generator,
          SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0),
          0.004, 1300, 9),
+        (ancilla_feedback_generator, ANCILLA_FEEDBACK, 0.004, 1300, 9),
         # a sample period longer than a block: some blocks hold no sample
         pytest.param(wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2, 2000, 700,
                      id="stride-over-block"),
@@ -611,17 +661,21 @@ class TestIntegrateDeterministic:
               for stride in (1, 7)]
         assert np.array_equal(pe[0], pe[1])
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("generator, spec, dt", [
         (wm_generator, wm_spec(eta=0.6, lam=0.03), 0.2),
         (ancilla_decay_generator,
          SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0), 0.004),
     ])
     @pytest.mark.parametrize("count", [1, 7, 512])
-    def test_rk4_powers_are_matrix_powers(self, generator, spec, dt, count):
+    def test_rk4_powers_are_matrix_powers(self, generator, spec, dt, count, real):
         M = liouvillian_matrix(generator, spec, spec.dim)
+        if real:
+            M = real_matrix(M, spec.dim)
         n = M.shape[0]
         powers = dynamics._rk4_powers(M, dt, count)
         assert powers.shape == (count * n, n) and powers.flags.c_contiguous
+        assert powers.dtype == M.dtype
         A = dt * M
         P = np.eye(n) + A + A @ A / 2 + A @ A @ A / 6 + A @ A @ A @ A / 24
         np.testing.assert_allclose(powers[:n], P, rtol=1e-12, atol=1e-15)
