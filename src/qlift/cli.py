@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -27,7 +26,9 @@ from .dynamics import (
     SchemeSpec,
     TrajectoryConfig,
     ancilla_decay_generator,
+    fewest_steps,
     integrate_deterministic,
+    max_step,
     no_feedback_generator,
     wm_generator,
 )
@@ -67,23 +68,19 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final=None, **kwargs) -> TrajectoryConfig:
-    """Build a TrajectoryConfig whose dt respects the scheme's rate scale.
+def _sample_count(t_final: float, tau: float) -> int:
+    """The whole number of sample periods nearest to t_final / tau, at least one."""
+    return max(1, round(t_final / tau))
 
-    dt is shrunk below the configured value when the scheme's fastest rate
-    demands it, keeping tau a whole multiple of dt and t_final a whole
-    number of sample periods.
-    """
-    t_final = cfg.t_final if t_final is None else t_final
-    bound = 0.01 / spec.fastest_rate
-    dt0 = min(cfg.dt, bound)
-    stride = max(1, round(cfg.tau / dt0))
-    # dt0's sample count, raised where needed to the fewest that keep dt <= bound
-    n_samples = max(round(t_final / (stride * dt0)),
-                    math.ceil(t_final / (stride * bound * (1.0 + 1e-12))))
-    dt = t_final / (n_samples * stride)
-    return TrajectoryConfig(dt=dt, t_final=t_final, seed=cfg.seed,
-                            tau=stride * dt, **kwargs)
+
+def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final: float, **kwargs) -> TrajectoryConfig:
+    """The grid of one scheme: t_final in _sample_count equal sample periods,
+    the same for every scheme, each in the fewest equal steps that keep dt
+    at or below both the configured dt and the scheme's step bound."""
+    period = t_final / _sample_count(t_final, cfg.tau)
+    stride = fewest_steps(period, min(cfg.dt, max_step(spec)))
+    return TrajectoryConfig(dt=period / stride, t_final=t_final, seed=cfg.seed,
+                            tau=period, **kwargs)
 
 
 def _rate_table(cfg: ExperimentConfig):
@@ -110,7 +107,7 @@ def _simulate_records(cfg: ExperimentConfig, n: int):
     """n homodyne trajectories of the monitored qubit without feedback."""
     spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma, eta=cfg.eta,
                       phi_lo=cfg.phi_lo)
-    return run_ensemble(spec, _grid(spec, cfg, n_trajectories=n))
+    return run_ensemble(spec, _grid(spec, cfg, cfg.t_final, n_trajectories=n))
 
 
 def cmd_rates(cfg: ExperimentConfig, args) -> int:
@@ -130,7 +127,7 @@ def cmd_rates(cfg: ExperimentConfig, args) -> int:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     print(cfg.echo())
     _, table = _rate_table(cfg)
-    times = np.linspace(0.0, cfg.t_final, round(cfg.t_final / cfg.tau) + 1)
+    times = np.linspace(0.0, cfg.t_final, _sample_count(cfg.t_final, cfg.tau) + 1)
     for row in table:
         trace = rates_mod.population_curve(row.gamma_eff, times)
         path = os.path.join(cfg.out_dir, f"pe_{row.scheme}.csv")
@@ -208,7 +205,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         # a fixed multiple of the bare lifetime is long enough for every
         # scheme without assuming the model rate is the realized one
         horizon = min(cfg.t_final, 2.5 / cfg.gamma)
-        grid = _grid(spec, cfg, t_final=horizon)
+        grid = _grid(spec, cfg, horizon)
         trace = integrate_deterministic(generator, spec, grid)
         if spec.kind is SchemeKind.WISEMAN_MILBURN:
             fit = fit_exponential_offset(trace)

@@ -168,14 +168,21 @@ class TrajectoryConfig:
         return int(round(self.tau / self.dt))
 
 
+def max_step(spec: SchemeSpec) -> float:
+    """The step bound 0.01 / (fastest rate in the generator)."""
+    return 0.01 / spec.fastest_rate
+
+
+def fewest_steps(span: float, step: float) -> int:
+    """The fewest equal steps of at most step (to a relative 1e-12) that fill span."""
+    return math.ceil(span / step * (1.0 - 1e-12))
+
+
 def check_step_size(spec: SchemeSpec, config: TrajectoryConfig) -> None:
-    """Enforce dt <= 0.01 / (fastest rate in the generator)."""
-    bound = 0.01 / spec.fastest_rate
-    if config.dt > bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt={config.dt} too large for rate scale {spec.fastest_rate}; "
-            f"need dt <= {bound:.3e}"
-        )
+    """Enforce dt <= max_step(spec)."""
+    if fewest_steps(config.dt, max_step(spec)) > 1:
+        raise ValueError(f"dt={config.dt} too large for rate scale {spec.fastest_rate}; "
+                         f"need dt <= {max_step(spec):.3e}")
 
 
 def _initial_state(spec: SchemeSpec, config: TrajectoryConfig) -> np.ndarray:
@@ -276,13 +283,13 @@ def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
 
     The system's emission is detected and fed back as a drive on the ancilla
     quadrature; the exchange coupling g then carries the correction to the
-    system.  Dimension 4; the ancilla's own decay channel is not included
-    here and composes additively (see ancilla_decay_generator).
+    system, and the ancilla decays at kappa, as in ancilla_decay_generator.
+    Dimension 4.
     """
     c, F = monitored_qubit(spec)
-    terms = feedback_terms(build_hamiltonian(spec), tensor(c, IDENTITY),
-                           tensor(IDENTITY, F), spec.eta)
-    return lindblad_rhs(*terms, rho)
+    H, channels = feedback_terms(build_hamiltonian(spec), tensor(c, IDENTITY),
+                                 tensor(IDENTITY, F), spec.eta)
+    return lindblad_rhs(H, channels + [(spec.kappa, _SIGMA_MINUS_A)], rho)
 
 
 def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:

@@ -258,15 +258,10 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
 
     step = 0
     for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
-        # the noise part of the currents sampled in this block; amp s_0 is
-        # added at the sampled step
-        sampled = block[-step % stride::stride].T
-        k = -(-step // stride)
-        np.multiply(sampled, noise_gain, currents[:, k:k + sampled.shape[1]])
         for dw in block:
             s0 = _kraus_step(c, dw, amp_dt, maps, buffers)
             if step % stride == 0:
-                currents[:, step // stride] += amp * s0
+                currents[:, step // stride] = amp * s0 + noise_gain * dw
             step += 1
             if step % stride == 0:
                 pe[:, step // stride] = 0.5 * (c[0] + c[3])

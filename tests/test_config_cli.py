@@ -9,7 +9,7 @@ import pytest
 from qlift import cli
 from qlift.cli import main
 from qlift.config import ConfigError, ExperimentConfig, load_config
-from qlift.dynamics import TrajectoryConfig
+from qlift.dynamics import TrajectoryConfig, check_step_size
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -202,6 +202,25 @@ class TestCliSimulate:
         assert header == ["time_us", "pe"]
         assert len(rows) == 41
 
+    def test_records_are_sampled_every_tau(self, tmp_path):
+        # tau below dt: the records are tau apart, like the model curves
+        cfg = write_config(tmp_path, "[integration]\ndt = 0.05\nt_final = 2.0\ntau = 0.01\n")
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--records", "1"]) == 0
+        for name in ("record_000.csv", "pe_sme_mean.csv", "pe_no_feedback.csv"):
+            times = np.loadtxt(out / name, delimiter=",", skiprows=1)[:, 0]
+            np.testing.assert_allclose(np.diff(times), 0.01, atol=1.5e-6)
+
+    def test_horizon_shorter_than_tau(self, tmp_path):
+        cfg = write_config(tmp_path, "[integration]\nt_final = 0.2\n")
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--records", "1"]) == 0
+        # one sample period, the whole horizon
+        header, rows = read_csv(out / "pe_no_feedback.csv")
+        assert [r[0] for r in rows] == ["0.000000", "0.200000"]
+        header, rows = read_csv(out / "record_000.csv")
+        assert [r[0] for r in rows] == ["0.000000"]
+
     def test_seed_override_controls_records(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SIM)
 
@@ -300,8 +319,8 @@ class TestCliTrain:
         assert "Traceback" not in err
 
     def test_simulated_record_round_trip(self, tmp_path, capsys):
-        # tau = 1/3 gives a sample period of 50/143 us, whose six-decimal
-        # times (0.349650, 0.699301, ...) are not evenly spaced to the digit
+        # tau = 1/3 is 150 whole periods of 50 us, whose six-decimal times
+        # (0.333333, 0.666667, ...) are not evenly spaced to the digit
         cfg = write_config(tmp_path, "[integration]\nt_final = 50.0\n"
                                      "tau = 0.3333333333333333\n"
                                      "[predictor]\nmax_epochs = 30\npatience = 5\n")
@@ -312,7 +331,7 @@ class TestCliTrain:
         assert np.ptp(np.diff(times)) > 0
         assert main(["train", "--config", cfg, "--out", str(out),
                      "--record", str(record)]) == 0
-        assert f"loaded record {record} (143 samples)" in capsys.readouterr().out
+        assert f"loaded record {record} (150 samples)" in capsys.readouterr().out
 
     def test_train_on_a_simulated_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path, FAST_SIM + "[predictor]\nmax_epochs = 30\npatience = 5\n")
@@ -370,16 +389,29 @@ class TestCliCompare:
 
 
 def grid_by_search(spec, cfg):
-    """Reference for cli._grid: the same dt rule, with dt shrunk by search."""
-    bound = 0.01 / spec.fastest_rate
-    dt0 = min(cfg.dt, bound)
-    stride = max(1, round(cfg.tau / dt0))
-    n_samples = max(1, round(cfg.t_final / (stride * dt0)))
-    dt = cfg.t_final / (n_samples * stride)
-    while dt > bound * (1.0 + 1e-12):
-        n_samples += 1
-        dt = cfg.t_final / (n_samples * stride)
-    return TrajectoryConfig(dt=dt, t_final=cfg.t_final, seed=cfg.seed, tau=stride * dt)
+    """Reference for cli._grid: t_final in the whole number of sample periods
+    nearest to t_final / tau, each in the smallest stride whose step is at
+    most the configured dt and the step bound (to a relative 1e-12)."""
+    n = max(1, round(cfg.t_final / cfg.tau))
+    period = cfg.t_final / n
+    h = min(cfg.dt, 0.01 / spec.fastest_rate)
+    # every stride below period / h - 1 gives a step above h
+    stride = max(1, math.floor(period / h) - 1)
+    assert stride == 1 or period / stride > h * (1.0 + 1e-12)
+    while period / stride > h * (1.0 + 1e-12):
+        stride += 1
+    return TrajectoryConfig(dt=period / stride, t_final=cfg.t_final, seed=cfg.seed, tau=period)
+
+
+def assert_grids_match_search(cfg):
+    taus = set()
+    for _, spec, _ in cli._scheme_specs(cfg):
+        got, want = cli._grid(spec, cfg, cfg.t_final), grid_by_search(spec, cfg)
+        assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
+        assert got.dt <= cfg.dt * (1.0 + 1e-12)
+        check_step_size(spec, got)
+        taus.add(got.tau)
+    assert len(taus) == 1  # one sample period for every scheme
 
 
 class TestGrid:
@@ -394,12 +426,13 @@ class TestGrid:
         dict(g=0.092, kappa=0.92),  # slow ancilla: the configured dt is kept
         dict(g=9.2, kappa=920.0, t_final=10.0),  # kappa/g = 100, rates x10
         dict(gamma=0.2, eta_list=(0.25, 0.75), t_final=77.7, tau=1.1),
+        dict(dt=0.03),  # dt does not divide tau: dt is lowered, tau kept
+        dict(tau=0.7, dt=0.5),  # one sample period for every scheme
+        dict(tau=0.01, dt=0.05, t_final=2.0),  # tau shorter than dt
+        dict(t_final=0.2),  # shorter than tau: one sample period
     ])
     def test_direct_dt_matches_search(self, overrides):
-        cfg = ExperimentConfig(**overrides).validate()
-        for _, spec, _ in cli._scheme_specs(cfg):
-            got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
-            assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
+        assert_grids_match_search(ExperimentConfig(**overrides).validate())
 
     def test_direct_dt_matches_search_over_a_sweep(self):
         rng = np.random.default_rng(5)
@@ -408,9 +441,7 @@ class TestGrid:
                                    dt=float(10 ** rng.uniform(-4, 0)),
                                    tau=float(10 ** rng.uniform(-2, 0.5)),
                                    kappa=0.92 * float(10 ** rng.uniform(0, 3))).validate()
-            for _, spec, _ in cli._scheme_specs(cfg):
-                got, want = cli._grid(spec, cfg), grid_by_search(spec, cfg)
-                assert (got.dt, got.tau, got.n_steps) == (want.dt, want.tau, want.n_steps)
+            assert_grids_match_search(cfg)
 
 
 class TestCliPlumbing:
