@@ -125,6 +125,8 @@ def cmd_rates(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
+    if args.records < 0:
+        raise ConfigError(f"--records must be >= 0, got {args.records}")
     print(cfg.echo())
     _, table = _rate_table(cfg)
     times = np.linspace(0.0, cfg.t_final, _sample_count(cfg.t_final, cfg.tau) + 1)

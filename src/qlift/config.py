@@ -2,7 +2,7 @@
 
 The file format is flat INI-style text: ``[section]`` headers, ``key = value``
 lines, ``#`` comments.  Unknown sections or keys are rejected with the file
-name and line number, as are unparseable values.
+name and line number, as are unparseable values and a key set twice.
 """
 
 import math
@@ -118,6 +118,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from None
 
     section = None
+    first_line = {}  # key -> line that set it; each key lives in one section
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -137,5 +138,8 @@ def load_config(path) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{where}: unknown key '{key}' in [{section}]")
+        if key in first_line:
+            raise ConfigError(f"{where}: key '{key}' already set on line {first_line[key]}")
+        first_line[key] = lineno
         setattr(cfg, key, _coerce(key, raw, where))
     return cfg.validate()

@@ -30,7 +30,7 @@ from .operators import (
     excited_state,
     tensor,
 )
-from .traces import PopulationTrace
+from .traces import PE_TOLERANCE, PopulationTrace
 
 
 class IntegrationError(RuntimeError):
@@ -200,18 +200,6 @@ def _initial_state(spec: SchemeSpec, config: TrajectoryConfig) -> np.ndarray:
     return rho0
 
 
-def build_hamiltonian(spec: SchemeSpec) -> np.ndarray:
-    """Scheme Hamiltonian in the rotating frame (hbar = 1).
-
-    Zero for two-level schemes.  The ancilla scheme has the
-    excitation-exchange coupling g (sigma_+ sigma_- + sigma_- sigma_+)
-    between system and ancilla.
-    """
-    if spec.dim == 2:
-        return np.zeros((2, 2), dtype=complex)
-    return spec.g * _EXCHANGE
-
-
 def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     """General Lindblad right-hand side.
 
@@ -247,18 +235,19 @@ def monitored_qubit(spec: SchemeSpec) -> tuple:
     return c, lam * -SIGMA_Y
 
 
-def feedback_terms(H0, c, F, eta) -> tuple:
+def feedback_terms(c, F, eta) -> tuple:
     """Homodyne feedback with collapse operator c, feedback operator F and
     efficiency eta, as the (H', channels) arguments of lindblad_rhs:
 
-        H' = H0 + (c+ F + F c) / 2,  D[N] + (1 - eta) D[c],  N = sqrt(eta) c - i F
+        H' = (c+ F + F c) / 2,  D[N] + (1 - eta) D[c],  N = sqrt(eta) c - i F
 
     (H. M. Wiseman and G. J. Milburn, Quantum Measurement and Control (2010),
     ch. 5).  The measured channel N comes first.  This equals
     D[c - i sqrt(eta) F] + (1 - eta) D[F]: both reduce to D[c] + D[F] plus
-    the same cross terms.
+    the same cross terms.  In its rotating frame a lone qubit has no other
+    Hamiltonian; a caller with one (the pair's exchange coupling) adds it to H'.
     """
-    H = H0 + 0.5 * (c.conj().T @ F + F @ c)
+    H = 0.5 * (c.conj().T @ F + F @ c)
     return H, [(1.0, math.sqrt(eta) * c - 1j * F), (1.0 - eta, c)]
 
 
@@ -275,7 +264,7 @@ def wm_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     gamma - 2 sqrt(eta gamma) lambda cos(phi) + 2 lambda^2.
     """
     c, F = monitored_qubit(spec)
-    return lindblad_rhs(*feedback_terms(build_hamiltonian(spec), c, F, spec.eta), rho)
+    return lindblad_rhs(*feedback_terms(c, F, spec.eta), rho)
 
 
 def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
@@ -287,18 +276,18 @@ def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     Dimension 4.
     """
     c, F = monitored_qubit(spec)
-    H, channels = feedback_terms(build_hamiltonian(spec), tensor(c, IDENTITY),
-                                 tensor(IDENTITY, F), spec.eta)
-    return lindblad_rhs(H, channels + [(spec.kappa, _SIGMA_MINUS_A)], rho)
+    H, channels = feedback_terms(tensor(c, IDENTITY), tensor(IDENTITY, F), spec.eta)
+    return lindblad_rhs(spec.g * _EXCHANGE + H, channels + [(spec.kappa, _SIGMA_MINUS_A)], rho)
 
 
 def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     """Passive system-ancilla model: exchange coupling with both qubits damped.
 
-    -i[H, rho] + gamma D[sigma_-^S] rho + kappa D[sigma_-^A] rho
+    -i[H, rho] + gamma D[sigma_-^S] rho + kappa D[sigma_-^A] rho, with the
+    rotating-frame H = g (sigma_+ (x) sigma_- + sigma_- (x) sigma_+).
     """
     channels = [(spec.gamma, _SIGMA_MINUS_S), (spec.kappa, _SIGMA_MINUS_A)]
-    return lindblad_rhs(build_hamiltonian(spec), channels, rho)
+    return lindblad_rhs(spec.g * _EXCHANGE, channels, rho)
 
 
 def liouvillian_matrix(generator, spec: SchemeSpec, dim: int) -> np.ndarray:
@@ -423,7 +412,7 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
             tr, num = (S[:max(nb, 2)] @ reads).reshape(-1, 2)[:m].T  # pass 2
             kept = _first_failure(np.abs(tr) >= 1e-12)
             p = pe[first:first + kept] = num[:kept] / tr[:kept]
-        n_in = _first_failure((p >= -1e-9) & (p <= 1.0 + 1e-9))
+        n_in = _first_failure((p >= -PE_TOLERANCE) & (p <= 1.0 + PE_TOLERANCE))
         for b in range(-(-n_in // block)):  # positivity at the sample times, block by block
             at = first + b * block  # the step of powers[0] @ S[b]
             sampled = slice(-at % stride, n_in - b * block, stride)

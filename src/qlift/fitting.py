@@ -105,9 +105,9 @@ def energy_retention(trace: PopulationTrace, t_upper: float) -> float:
     """Integral of P_e from 0 to t_upper by the trapezoid rule.
 
     For a pure exponential this saturates at T1 as t_upper grows, which is
-    what makes it a scheme-independent figure of merit.  t_upper must lie
-    within the trace (linear interpolation covers a t_upper between grid
-    points); the trace must start at t = 0.
+    what makes it a scheme-independent figure of merit.  The rule runs over
+    the grid times below t_upper and t_upper itself, where P_e is interpolated
+    linearly; t_upper must lie within the trace, which must start at t = 0.
     """
     if abs(trace.times[0]) > 1e-12:
         raise ValueError("energy retention is defined from t = 0")
@@ -115,11 +115,5 @@ def energy_retention(trace: PopulationTrace, t_upper: float) -> float:
         raise ValueError(
             f"t_upper={t_upper} outside the trace span (0, {trace.times[-1]}]"
         )
-    cut = int(np.searchsorted(trace.times, t_upper, side="right"))
-    t = trace.times[:cut]
-    y = trace.pe[:cut]
-    total = float(np.trapezoid(y, t)) if t.shape[0] > 1 else 0.0
-    if t[-1] < t_upper:  # partial trapezoid up to the interpolated endpoint
-        y_end = trace.pe_at(t_upper)
-        total += 0.5 * (y[-1] + y_end) * (t_upper - t[-1])
-    return total
+    t = np.append(trace.times[trace.times < t_upper], t_upper)
+    return float(np.trapezoid(np.interp(t, trace.times, trace.pe), t))

@@ -62,24 +62,12 @@ def adjoint_dissipator(L: np.ndarray, A: np.ndarray) -> np.ndarray:
     return Ld @ A @ L - 0.5 * (LdL @ A + A @ LdL)
 
 
-def partial_trace_ancilla(rho: np.ndarray) -> np.ndarray:
-    """Reduce a 4x4 system (x) ancilla state to the 2x2 system state."""
-    rho = _check_square(rho, "rho")
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 joint state, got shape {rho.shape}")
-    return np.einsum("iaja->ij", rho.reshape(2, 2, 2, 2))
-
-
-def hermitize(rho: np.ndarray) -> np.ndarray:
-    """Symmetrize: (rho + rho+) / 2, state by state on a stack of states."""
-    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-
-
 def project_physical(rho: np.ndarray) -> np.ndarray:
-    """Project onto the physical set: hermitize, clip negative eigenvalues,
-    renormalize.  For a 2x2 state with Bloch vector r this is
+    """Project onto the physical set: take the Hermitian part, clip negative
+    eigenvalues, renormalize.  For a 2x2 state with Bloch vector r this is
     r <- r / max(1, |r|)."""
-    rho = hermitize(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
+    rho = 0.5 * (rho + rho.conj().T)
     vals, vecs = np.linalg.eigh(rho)
     if vals[0] >= 0.0:
         tr = vals.sum()
@@ -106,7 +94,7 @@ def check_density(rho: np.ndarray, atol: float = STATE_ATOL) -> None:
     trace_defect = abs(np.trace(rho) - 1.0)
     if trace_defect > atol:
         raise ValueError(f"state trace off unity by {trace_defect:.3e} > {atol:.1e}")
-    min_eig = float(np.linalg.eigvalsh(hermitize(rho))[0])
+    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
     if min_eig < -atol:
         raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e} < -{atol:.1e}")
 

@@ -47,7 +47,6 @@ from .dynamics import (
     SchemeSpec,
     TrajectoryConfig,
     _initial_state,
-    build_hamiltonian,
     check_step_size,
     feedback_terms,
     monitored_qubit,
@@ -97,7 +96,7 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     if spec.dim != 2:
         raise ValueError("the stochastic route covers single-qubit monitoring schemes only")
     c, F = monitored_qubit(spec)
-    H, channels = feedback_terms(build_hamiltonian(spec), c, F, spec.eta)
+    H, channels = feedback_terms(c, F, spec.eta)
     (_, n), (undetected, _) = channels
     a = IDENTITY - dt * (1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels))
     # row 12 reads m itself, since c / sqrt(gamma) would not round back to it

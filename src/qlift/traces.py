@@ -4,7 +4,7 @@ Times are in microseconds throughout; rates are in inverse microseconds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

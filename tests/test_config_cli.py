@@ -77,6 +77,12 @@ out_dir = elsewhere
         with pytest.raises(ConfigError, match=r":2: unknown key 'gamma' in \[integration\]"):
             load_config(path)
 
+    def test_key_set_twice_names_both_lines(self, tmp_path):
+        path = write_config(tmp_path, "[physics]\ngamma = 0.02\n\n[integration]\ndt = 0.05\n"
+                                      "[physics]\ngamma = 0.5\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:7: key 'gamma' already set on line 2"):
+            load_config(path)
+
     def test_key_before_any_section(self, tmp_path):
         path = write_config(tmp_path, "gamma = 0.02\n")
         with pytest.raises(ConfigError, match=r":1: key outside any \[section\]"):
@@ -220,6 +226,12 @@ class TestCliSimulate:
         assert [r[0] for r in rows] == ["0.000000", "0.200000"]
         header, rows = read_csv(out / "record_000.csv")
         assert [r[0] for r in rows] == ["0.000000"]
+
+    def test_negative_record_count_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert main(["simulate", "--out", str(out), "--records", "-2"]) == 2
+        assert "--records must be >= 0, got -2" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_seed_override_controls_records(self, tmp_path):
         cfg = write_config(tmp_path, FAST_SIM)

