@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numerical failures,
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -149,10 +150,14 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
 def _record_from_csv(path) -> HomodyneRecord:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():  # a header-only file is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: not a time_us,current CSV ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 3:
+    if len(data) < 3:
+        raise ConfigError(f"{path}: a record needs at least 3 samples, got {len(data)}")
+    if data.shape[1] != 2:
         raise ConfigError(f"{path}: expected two columns time_us,current")
     periods = np.diff(data[:, 0])
     period = float(np.median(periods))

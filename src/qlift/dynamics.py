@@ -51,9 +51,10 @@ _GEMM_MADDS = 1 << 17
 # two-qubit operators of the ancilla scheme (system factor first), read-only
 _SIGMA_MINUS_S = tensor(SIGMA_MINUS, IDENTITY)
 _SIGMA_MINUS_A = tensor(IDENTITY, SIGMA_MINUS)
+_SIGMA_Y_A = tensor(IDENTITY, SIGMA_Y)
 _EXCHANGE = tensor(SIGMA_PLUS, SIGMA_MINUS) + tensor(SIGMA_MINUS, SIGMA_PLUS)
 _PROJ_EXCITED_S = tensor(PROJ_EXCITED, IDENTITY)
-for _op in (_SIGMA_MINUS_S, _SIGMA_MINUS_A, _EXCHANGE, _PROJ_EXCITED_S):
+for _op in (_SIGMA_MINUS_S, _SIGMA_MINUS_A, _SIGMA_Y_A, _EXCHANGE, _PROJ_EXCITED_S):
     _op.setflags(write=False)
 
 
@@ -224,15 +225,16 @@ def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
 
 
 def monitored_qubit(spec: SchemeSpec) -> tuple:
-    """Collapse operator c = sqrt(gamma) sigma_- exp(-i phi_lo), whose
-    quadrature <c + c+> is the measured one, and feedback operator
-    F = lambda (-sigma_y): in the excited-first basis a positive gain at
-    phi_lo = 0 interferes destructively with the emission.  F is zero for a
-    no_feedback spec, whatever its lambda_gain.
+    """(m, c, F) of the monitored emission on the scheme's own space: the
+    measured operator m = sigma_- exp(-i phi_lo), whose quadrature <m + m+> the
+    current reads, the collapse operator c = sqrt(gamma) m, and the feedback
+    operator F = lambda (-sigma_y), on the pair's ancilla and zero for no_feedback;
+    at phi_lo = 0 a positive gain interferes destructively with the emission.
     """
-    c = math.sqrt(spec.gamma) * SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
+    sigma_minus, sigma_y = (SIGMA_MINUS, SIGMA_Y) if spec.dim == 2 else (_SIGMA_MINUS_S, _SIGMA_Y_A)
+    m = sigma_minus * np.exp(-1j * spec.phi_lo)
     lam = 0.0 if spec.kind is SchemeKind.NO_FEEDBACK else spec.lambda_gain
-    return c, lam * -SIGMA_Y
+    return m, math.sqrt(spec.gamma) * m, lam * -sigma_y
 
 
 def feedback_terms(c, F, eta) -> tuple:
@@ -263,7 +265,7 @@ def wm_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     monitored_qubit); at phi_lo = phi the excited population decays at
     gamma - 2 sqrt(eta gamma) lambda cos(phi) + 2 lambda^2.
     """
-    c, F = monitored_qubit(spec)
+    _, c, F = monitored_qubit(spec)
     return lindblad_rhs(*feedback_terms(c, F, spec.eta), rho)
 
 
@@ -275,8 +277,8 @@ def ancilla_feedback_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     system, and the ancilla decays at kappa, as in ancilla_decay_generator.
     Dimension 4.
     """
-    c, F = monitored_qubit(spec)
-    H, channels = feedback_terms(tensor(c, IDENTITY), tensor(IDENTITY, F), spec.eta)
+    _, c, F = monitored_qubit(spec)
+    H, channels = feedback_terms(c, F, spec.eta)
     return lindblad_rhs(spec.g * _EXCHANGE + H, channels + [(spec.kappa, _SIGMA_MINUS_A)], rho)
 
 
@@ -290,14 +292,14 @@ def ancilla_decay_generator(spec: SchemeSpec, rho: np.ndarray) -> np.ndarray:
     return lindblad_rhs(spec.g * _EXCHANGE, channels, rho)
 
 
-def liouvillian_matrix(generator, spec: SchemeSpec, dim: int) -> np.ndarray:
+def liouvillian_matrix(generator, spec: SchemeSpec) -> np.ndarray:
     """Matrix of a linear generator acting on row-major vectorized states.
 
-    Column j is the generator applied to unit matrix j.  Raises ValueError
-    when the generator does not return a dim x dim matrix.
+    Column j is the generator applied to unit matrix j of dimension spec.dim.
+    Raises ValueError when the generator returns another shape.
     """
     columns = []
-    for unit in np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim):
+    for unit in np.eye(spec.dim ** 2, dtype=complex).reshape(-1, spec.dim, spec.dim):
         out = generator(spec, unit)
         if np.shape(out) != unit.shape:
             raise ValueError(f"generator returned shape {np.shape(out)} for a state of "
@@ -380,7 +382,7 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
     block = min(_BLOCK, n_steps)
     U, V = _COORDINATES[dim]
-    L = liouvillian_matrix(generator, spec, dim)
+    L = liouvillian_matrix(generator, spec)
     M = V @ L @ U
     leak = np.abs(M.imag).max()
     if leak > 1e-12 * np.abs(L).max():
@@ -441,4 +443,4 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         if kept < m:
             raise IntegrationError("state trace collapsed during integration")
 
-    return PopulationTrace(times=dt * np.arange(n_steps + 1), pe=np.clip(pe, 0.0, 1.0))
+    return PopulationTrace(times=dt * np.arange(n_steps + 1), pe=pe)

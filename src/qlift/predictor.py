@@ -26,7 +26,7 @@ ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; .model holds the last finite snapshot."""
+    """Loss became non-finite; .model holds the best-validation snapshot."""
 
     def __init__(self, message, model):
         super().__init__(message)
@@ -126,6 +126,11 @@ def forward(mlp: Mlp, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _predict_raw(mlp: Mlp, X: np.ndarray) -> np.ndarray:
+    """Raw-scale predictions for raw input rows X, through the standardizer."""
+    return mlp.mean + mlp.std * forward(mlp, (X - mlp.mean) / mlp.std)
+
+
 def loss_mse(mlp: Mlp, Z: np.ndarray, y: np.ndarray) -> float:
     """Mean squared error of the network on standardized pairs."""
     pred = forward(mlp, Z)
@@ -203,11 +208,9 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
     if std < 1e-12:
         std = 1.0
 
-    def z(X):
-        return (X - mean) / std
-
-    Zt, yt = z(X_train_half[: split - n_val]), z(y_train_half[: split - n_val])
-    Zv, yv = z(X_train_half[split - n_val:]), z(y_train_half[split - n_val:])
+    Z, y = (X_train_half - mean) / std, (y_train_half - mean) / std
+    Zt, yt = Z[: split - n_val], y[: split - n_val]
+    Zv, yv = Z[split - n_val:], y[split - n_val:]
 
     mlp = init_mlp(window=dataset.window, seed=settings.seed)
     shapes = [p.shape for p in mlp.params]
@@ -226,6 +229,7 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
     stale = 0
     val_history = []
     n_fit = Zt.shape[0]
+    diverged = None
 
     for epoch in range(1, settings.max_epochs + 1):
         order = rng.permutation(n_fit)
@@ -245,8 +249,8 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
 
         val_mse = loss_mse(mlp, Zv, yv)
         if not math.isfinite(val_mse):
-            mlp.params = [p.copy() for p in _unflatten(best_theta, shapes)]
-            raise TrainingDiverged(f"validation loss non-finite at epoch {epoch}", mlp)
+            diverged = f"validation loss non-finite at epoch {epoch}"
+            break
         val_history.append(val_mse)
         if val_mse < best_val:
             best_val = val_mse
@@ -259,14 +263,12 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
                 break
 
     mlp.params = [p.copy() for p in _unflatten(best_theta, shapes)]
-    mlp.mean = mean
-    mlp.std = std
+    mlp.mean, mlp.std = mean, std
+    if diverged:
+        raise TrainingDiverged(diverged, mlp)
 
-    def raw_mse(X, y):
-        pred = mean + std * forward(mlp, z(X))
-        return float(np.mean((pred - y) ** 2))
-
-    pred_test = mean + std * forward(mlp, z(X_test))
+    pred_train = _predict_raw(mlp, X_train_half[: split - n_val])
+    pred_test = _predict_raw(mlp, X_test)
     baseline = float(np.mean((X_test[:, -1] - y_test) ** 2))
     try:
         test_r = correlation_r(pred_test, y_test)
@@ -274,7 +276,7 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
         # a collapsed (constant) prediction has no defined correlation
         test_r = None
     mlp.metadata = {
-        "train_mse": raw_mse(X_train_half[: split - n_val], y_train_half[: split - n_val]),
+        "train_mse": float(np.mean((pred_train - y_train_half[: split - n_val]) ** 2)),
         "val_mse": best_val * std * std,
         "val_history": [v * std * std for v in val_history],
         "test_mse": float(np.mean((pred_test - y_test) ** 2)),
@@ -292,8 +294,7 @@ def predict_next(mlp: Mlp, window_samples) -> float:
     expected = mlp.params[0].shape[1]
     if x.shape != (expected,):
         raise ValueError(f"expected {expected} samples, got shape {x.shape}")
-    z = (x - mlp.mean) / mlp.std
-    return float(mlp.mean + mlp.std * forward(mlp, z[None, :])[0])
+    return float(_predict_raw(mlp, x[None, :])[0])
 
 
 def correlation_r(predicted, actual) -> float:

@@ -1,6 +1,6 @@
 """Conditional homodyne trajectories for the monitored qubit.
 
-With c = sqrt(gamma) m, m = sigma_- exp(-i phi) and F from monitored_qubit,
+With m = sigma_- exp(-i phi), c = sqrt(gamma) m and F from monitored_qubit,
 and H' and N = sqrt(eta) c - i F from feedback_terms (both in qlift.dynamics),
 the qubit obeys the stochastic master equation with Markovian feedback
 
@@ -53,7 +53,6 @@ from .dynamics import (
 )
 from .operators import (
     IDENTITY,
-    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -95,12 +94,10 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     """
     if spec.dim != 2:
         raise ValueError("the stochastic route covers single-qubit monitoring schemes only")
-    c, F = monitored_qubit(spec)
+    m, c, F = monitored_qubit(spec)
     H, channels = feedback_terms(c, F, spec.eta)
     (_, n), (undetected, _) = channels
     a = IDENTITY - dt * (1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels))
-    # row 12 reads m itself, since c / sqrt(gamma) would not round back to it
-    m = SIGMA_MINUS * np.exp(-1j * spec.phi_lo)
     ad, nd, cd = a.conj().T, n.conj().T, c.conj().T
     maps = np.concatenate([
         _pauli_matrix(lambda rho: a @ rho @ ad + undetected * dt * (c @ rho @ cd)),

@@ -51,12 +51,6 @@ class PopulationTrace:
                 f"population out of [0, 1]: min={pe.min():.3e}, max={pe.max():.3e}"
             )
 
-    def pe_at(self, t: float) -> float:
-        """Linearly interpolated population at time t (must lie on the grid span)."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ValueError(f"t={t} outside trace span [{self.times[0]}, {self.times[-1]}]")
-        return float(np.interp(t, self.times, self.pe))
-
 
 @dataclass(frozen=True)
 class HomodyneRecord:

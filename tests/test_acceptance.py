@@ -131,8 +131,10 @@ def test_criterion_3_feedback_gain_sweep(report):
 def test_criterion_4_population_checkpoints(report):
     times = np.linspace(0.0, 120.0, 1201)
     lam = optimal_lambda(GAMMA, 1.0)
-    p_wm = population_curve(gamma_wm(GAMMA, 1.0, lam), times).pe_at(100.0)
-    p_ml = population_curve(gamma_ml(GAMMA, COOP, R_SCORE), times).pe_at(100.0)
+    wm = population_curve(gamma_wm(GAMMA, 1.0, lam), times)
+    ml = population_curve(gamma_ml(GAMMA, COOP, R_SCORE), times)
+    p_wm = float(np.interp(100.0, wm.times, wm.pe))
+    p_ml = float(np.interp(100.0, ml.times, ml.pe))
     ok = abs(p_wm - 0.368) <= 0.004 and abs(p_ml - 0.607) <= 0.006
     msg = (f"criterion 4: model curves at t=100 us give P_e={p_wm:.4f} "
            f"(target 0.368 +- 0.004, feedback at unit efficiency) and "

@@ -320,7 +320,11 @@ class TestCliTrain:
         # 80 samples 0.5 us apart but for one gap of 80.5 us
         ("".join(f"{0.5 * k + 80.0 * (k >= 40):.6f},{math.sin(0.4 * k):.6f}\n"
                  for k in range(80)), "times are not uniformly spaced"),
-    ], ids=["nan-current", "equal-times", "gapped-times"])
+        ("", "a record needs at least 3 samples, got 0"),
+        ("0.0,0.1\n", "a record needs at least 3 samples, got 1"),
+        ("0.0,0.1\n0.5,0.2\n", "a record needs at least 3 samples, got 2"),
+    ], ids=["nan-current", "equal-times", "gapped-times", "header-only", "one-row", "two-rows"])
+    @pytest.mark.filterwarnings("error")  # numpy's empty-input warning is no report
     def test_invalid_record_is_config_error(self, tmp_path, capsys, rows, complaint):
         path = tmp_path / "bad.csv"
         path.write_text("time_us,current\n" + rows)

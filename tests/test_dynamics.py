@@ -44,13 +44,13 @@ CHUNK_DIM4 = dynamics._GEMM_MADDS // (16 * 2 * dynamics._BLOCK)
 
 def reference_integrate(generator, spec, config, observer=None):
     """Per-step RK4 loop with per-step repair and audits, the reference for
-    the block propagator of integrate_deterministic.  Returns clipped P_e."""
+    the block propagator of integrate_deterministic.  Returns P_e as audited."""
     check_step_size(spec, config)
     rho0 = config.initial_state
     if rho0 is None:
         rho0 = excited_state(spec.dim)
     dim = rho0.shape[0]
-    M = liouvillian_matrix(generator, spec, dim)
+    M = liouvillian_matrix(generator, spec)
     w = (PROJ_EXCITED if dim == 2 else tensor(PROJ_EXCITED, IDENTITY)).T.ravel()
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
 
@@ -89,7 +89,7 @@ def reference_integrate(generator, spec, config, observer=None):
                 )
             if observer is not None:
                 observer(step * dt, rho.copy())
-    return np.clip(pe, 0.0, 1.0)
+    return pe
 
 
 def integration_error(integrate, generator, spec, config):
@@ -328,9 +328,31 @@ class TestGenerators:
         np.testing.assert_allclose(ancilla_decay_generator(spec, rho), expected,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("eta, lam, phi", [(0.7, 0.2, 0.3), (0.4, 1.5, -2.0)])
+    def test_pair_monitors_the_qubit_operators(self, eta, lam, phi):
+        # the pair's m and c act on the system and F on the ancilla, each
+        # exactly the lone qubit's operator at the same parameters
+        qubit = wm_spec(eta=eta, lam=lam, phi_lo=phi)
+        pair = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, eta=eta,
+                          lambda_gain=lam, g=0.3, kappa=2.0, phi_lo=phi)
+        (m_q, c_q, F_q), (m, c, F) = dynamics.monitored_qubit(qubit), dynamics.monitored_qubit(pair)
+        assert np.array_equal(m, tensor(m_q, IDENTITY))
+        assert np.array_equal(c, tensor(c_q, IDENTITY))
+        assert np.array_equal(F, tensor(IDENTITY, F_q))
+
+    def test_pair_generator_forms_no_tensor_product(self, monkeypatch):
+        want = liouvillian_matrix(ancilla_feedback_generator, ANCILLA_FEEDBACK)
+
+        def no_tensor(a, b):
+            raise AssertionError("tensor product formed per probe")
+
+        monkeypatch.setattr(dynamics, "tensor", no_tensor)
+        assert np.array_equal(liouvillian_matrix(ancilla_feedback_generator, ANCILLA_FEEDBACK),
+                              want)
+
     def test_liouvillian_matrix_reproduces_generator(self, rng):
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.4, kappa=2.0)
-        M = liouvillian_matrix(ancilla_decay_generator, spec, 4)
+        M = liouvillian_matrix(ancilla_decay_generator, spec)
         for _ in range(10):
             rho = random_density(rng, 4)
             np.testing.assert_allclose(
@@ -352,7 +374,7 @@ class TestGenerators:
         for broken in (lambda s, rho: no_feedback_generator(s, rho)[0],
                        lambda s, rho: no_feedback_generator(s, rho).reshape(-1, 4)):
             with pytest.raises(ValueError, match="shape"):
-                liouvillian_matrix(broken, spec, 2)
+                liouvillian_matrix(broken, spec)
             with pytest.raises(ValueError, match="shape"):
                 integrate_deterministic(broken, spec, TrajectoryConfig(dt=0.1, t_final=1.0))
 
@@ -370,7 +392,7 @@ class TestGenerators:
     @pytest.mark.parametrize("generator, spec", SCHEME_GENERATORS)
     def test_liouvillian_is_real_in_hermitian_coordinates(self, generator, spec):
         U, V = dynamics._COORDINATES[spec.dim]
-        L = liouvillian_matrix(generator, spec, spec.dim)
+        L = liouvillian_matrix(generator, spec)
         assert np.abs((V @ L @ U).imag).max() <= 1e-16 * np.abs(L).max()
 
 
@@ -385,7 +407,7 @@ class TestIntegrateDeterministic:
     def test_matches_matrix_exponential_for_wm(self, rng):
         spec = wm_spec(eta=0.6, lam=0.03)
         cfg = TrajectoryConfig(dt=0.2, t_final=40.0, tau=4.0)
-        M = liouvillian_matrix(wm_generator, spec, 2)
+        M = liouvillian_matrix(wm_generator, spec)
         seen = {}
         observer = lambda t, rho: seen.__setitem__(round(t, 9), rho)
         trace = integrate_deterministic(wm_generator, spec, cfg, observer=observer)
@@ -399,7 +421,7 @@ class TestIntegrateDeterministic:
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.3, kappa=2.0)
         cfg = TrajectoryConfig(dt=0.004, t_final=8.0)
         trace = integrate_deterministic(ancilla_decay_generator, spec, cfg)
-        M = liouvillian_matrix(ancilla_decay_generator, spec, 4)
+        M = liouvillian_matrix(ancilla_decay_generator, spec)
         proj = tensor(PROJ_EXCITED, IDENTITY)
         for t_idx in (0, 500, 1000, 2000):
             rho_t = (expm(M * trace.times[t_idx]) @ excited_state(4).ravel()).reshape(4, 4)
@@ -540,6 +562,16 @@ class TestIntegrateDeterministic:
         with pytest.raises(IntegrationError, match="state trace collapsed"):
             integrate_deterministic(leaking, spec, cfg)
 
+    def test_population_is_returned_as_audited(self):
+        # a slow anti-decay lifts P_e above 1 by e^(1e-9 t) - 1, inside the
+        # audit's PE_TOLERANCE: it is returned, not clipped to 1
+        spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)
+        cfg = TrajectoryConfig(dt=0.05, t_final=0.5)
+        rising = lambda s, rho: -1e-9 * dissipator(SIGMA_MINUS, rho)
+        pe = integrate_deterministic(rising, spec, cfg).pe
+        assert pe[-1] > 1.0
+        assert pe[-1] - 1.0 == pytest.approx(5e-10, rel=1e-5)
+
     @pytest.mark.parametrize("generator, spec", [
         (no_feedback_generator, SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA)),
         (wm_generator, wm_spec(eta=0.5)),
@@ -557,7 +589,7 @@ class TestIntegrateDeterministic:
         # from them are Hermitian by construction
         n_steps, dim = 1_150_000, spec.dim
         U, V = dynamics._COORDINATES[dim]
-        M = real_matrix(liouvillian_matrix(generator, spec, dim), dim)
+        M = real_matrix(liouvillian_matrix(generator, spec), dim)
         step = dynamics._rk4_powers(M, 125.0 / n_steps, dynamics._BLOCK)[-dim * dim:]
         x = (V @ random_density(rng, dim).ravel()).real
         trace_drift = 0.0
@@ -661,7 +693,7 @@ class TestIntegrateDeterministic:
     ])
     @pytest.mark.parametrize("count", [1, 7, 512])
     def test_rk4_powers_are_matrix_powers(self, generator, spec, dt, count, real):
-        M = liouvillian_matrix(generator, spec, spec.dim)
+        M = liouvillian_matrix(generator, spec)
         if real:
             M = real_matrix(M, spec.dim)
         n = M.shape[0]

@@ -36,7 +36,7 @@ def damped_sine_record(n=300, decay=200.0, freq=0.4):
 def reference_train(dataset, settings=TrainSettings()):
     """train() as it was with one Adam update per parameter tensor, and its
     per-batch fancy indexing.  Returns (params, metadata); on divergence,
-    (params of the last finite snapshot, None)."""
+    (params of the best-validation snapshot, None)."""
     split = dataset.split_index
     X_half, y_half = dataset.inputs[:split], dataset.targets[:split]
     X_test, y_test = dataset.inputs[split:], dataset.targets[split:]
@@ -260,6 +260,17 @@ class TestTraining:
             train(ds, TrainSettings(learning_rate=1e120, max_epochs=30))
         assert isinstance(exc.value.model, Mlp)
         assert "non-finite" in str(exc.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_model_keeps_the_training_half_standardizer(self):
+        # samples around 5, which the default standardizer (0, 1) would misread
+        ds = build_dataset(HomodyneRecord(0.5, 5.0 + np.random.default_rng(3).normal(size=400)))
+        with pytest.raises(TrainingDiverged) as exc:
+            train(ds, TrainSettings(learning_rate=1e120, max_epochs=30))
+        half = ds.inputs[:ds.split_index]
+        assert exc.value.model.mean == float(half.mean())
+        assert exc.value.model.std == float(half.std())
+        assert abs(exc.value.model.mean - 5.0) < 0.2
 
 
 class TestTrainingMatchesPerTensorAdam:
