@@ -130,9 +130,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--records must be >= 0, got {args.records}")
     print(cfg.echo())
     _, table = _rate_table(cfg)
-    times = np.linspace(0.0, cfg.t_final, _sample_count(cfg.t_final, cfg.tau) + 1)
+    n = _sample_count(cfg.t_final, cfg.tau)
     for row in table:
-        trace = rates_mod.population_curve(row.gamma_eff, times)
+        trace = rates_mod.population_curve(row.gamma_eff, cfg.t_final / n, n + 1)
         path = os.path.join(cfg.out_dir, f"pe_{row.scheme}.csv")
         _write_series(path, ["time_us", "pe"], trace.times, trace.pe)
         print(f"wrote {path}  (rate {row.gamma_eff:.6f}/us, T1 {row.t1:.2f} us)")

@@ -117,9 +117,14 @@ class SchemeSpec:
         return 4 if self.kind is SchemeKind.ANCILLA_COHERENT else 2
 
     @property
+    def applied_gain(self) -> float:
+        """The feedback gain the scheme applies: no feedback applies none."""
+        return 0.0 if self.kind is SchemeKind.NO_FEEDBACK else self.lambda_gain
+
+    @property
     def fastest_rate(self) -> float:
         """Largest rate scale in the generator; sets the step-size bound."""
-        return max(self.gamma, self.kappa, self.g, self.lambda_gain ** 2)
+        return max(self.gamma, self.kappa, self.g, self.applied_gain ** 2)
 
 
 @dataclass(frozen=True)
@@ -233,8 +238,7 @@ def monitored_qubit(spec: SchemeSpec) -> tuple:
     """
     sigma_minus, sigma_y = (SIGMA_MINUS, SIGMA_Y) if spec.dim == 2 else (_SIGMA_MINUS_S, _SIGMA_Y_A)
     m = sigma_minus * np.exp(-1j * spec.phi_lo)
-    lam = 0.0 if spec.kind is SchemeKind.NO_FEEDBACK else spec.lambda_gain
-    return m, math.sqrt(spec.gamma) * m, lam * -sigma_y
+    return m, math.sqrt(spec.gamma) * m, spec.applied_gain * -sigma_y
 
 
 def feedback_terms(c, F, eta) -> tuple:
@@ -443,4 +447,4 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
         if kept < m:
             raise IntegrationError("state trace collapsed during integration")
 
-    return PopulationTrace(times=dt * np.arange(n_steps + 1), pe=pe)
+    return PopulationTrace(dt, pe)

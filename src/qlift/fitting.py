@@ -42,8 +42,8 @@ def _loglinear_slope(t: np.ndarray, logy: np.ndarray):
 
     Closed form on the centred data: slope = sum(t~ y~) / sum(t~^2).  Both
     arrays are centred and then overwritten in place, so the caller must pass
-    arrays it owns and does not read again (_fit_above_floor passes fresh
-    masked copies); the only buffers are the two inputs.
+    arrays it owns and does not read again (_fit_above_floor passes the
+    fresh arrays it forms); the only buffers are the two inputs.
     """
     t -= t.mean()
     logy -= logy.mean()
@@ -53,16 +53,16 @@ def _loglinear_slope(t: np.ndarray, logy: np.ndarray):
     return slope, math.sqrt(logy @ logy / logy.size)
 
 
-def _fit_above_floor(t: np.ndarray, y: np.ndarray, top: float, what: str) -> DecayFit:
-    """Log-linear decay fit of y against t over the points above
-    FLOOR_FRACTION * top; ``what`` names those points in the error message."""
+def _fit_above_floor(period: float, y: np.ndarray, top: float, what: str) -> DecayFit:
+    """Log-linear decay fit of y[k], sampled at t = k * period, over the points
+    above FLOOR_FRACTION * top; ``what`` names those points in the error message."""
     mask = y > FLOOR_FRACTION * top
     n = int(mask.sum())
     if n < MIN_POINTS:
         raise InsufficientPointsError(
             f"only {n} usable {what} above the floor, need {MIN_POINTS}"
         )
-    slope, rms = _loglinear_slope(t[mask], np.log(y[mask]))
+    slope, rms = _loglinear_slope(period * np.flatnonzero(mask), np.log(y[mask]))
     if slope >= 0.0:
         raise NonDecayingTraceError(f"fitted slope {slope:.3e} is not negative")
     return DecayFit(gamma_eff=-slope, rms_residual=rms, n_points_used=n)
@@ -79,26 +79,23 @@ def fit_exponential(trace: PopulationTrace) -> DecayFit:
     pe0 = trace.pe[0]
     if pe0 <= 0.0:
         raise FitError("initial population must be positive for a decay fit")
-    return _fit_above_floor(trace.times, trace.pe, pe0, "points")
+    return _fit_above_floor(trace.sample_period, trace.pe, pe0, "points")
 
 
 def fit_exponential_offset(trace: PopulationTrace) -> DecayFit:
     """Fit P_e(t) = A exp(-gamma t) + B without knowing the plateau B.
 
-    On a uniform grid the successive differences P_e(t_k) - P_e(t_k + h)
+    With sample period h the successive differences P_e(t_k) - P_e(t_k + h)
     equal A (1 - e^{-gamma h}) e^{-gamma t_k}, so the offset drops out and
     the same log-linear fit applies to the differences above FLOOR_FRACTION
     of the largest.  Intended for deterministic traces that relax to a
     non-zero steady population.
     """
-    h = trace.times[1] - trace.times[0]
-    if not np.abs(np.diff(trace.times) - h).max() <= 1e-9 * abs(h):  # NaN fails too
-        raise FitError("offset fit requires a uniform time grid")
     d = trace.pe[:-1] - trace.pe[1:]
     top = d.max()
     if top <= 0.0:
         raise NonDecayingTraceError("population never decreases; nothing to fit")
-    return _fit_above_floor(trace.times[:-1], d, top, "differences")
+    return _fit_above_floor(trace.sample_period, d, top, "differences")
 
 
 def energy_retention(trace: PopulationTrace, t_upper: float) -> float:
@@ -107,13 +104,10 @@ def energy_retention(trace: PopulationTrace, t_upper: float) -> float:
     For a pure exponential this saturates at T1 as t_upper grows, which is
     what makes it a scheme-independent figure of merit.  The rule runs over
     the grid times below t_upper and t_upper itself, where P_e is interpolated
-    linearly; t_upper must lie within the trace, which must start at t = 0.
+    linearly; t_upper must lie within the trace.
     """
-    if abs(trace.times[0]) > 1e-12:
-        raise ValueError("energy retention is defined from t = 0")
-    if not (0.0 < t_upper <= trace.times[-1] + 1e-12):
-        raise ValueError(
-            f"t_upper={t_upper} outside the trace span (0, {trace.times[-1]}]"
-        )
-    t = np.append(trace.times[trace.times < t_upper], t_upper)
-    return float(np.trapezoid(np.interp(t, trace.times, trace.pe), t))
+    times = trace.times
+    if not (0.0 < t_upper <= times[-1] + 1e-12):
+        raise ValueError(f"t_upper={t_upper} outside the trace span (0, {times[-1]}]")
+    t = np.append(times[times < t_upper], t_upper)
+    return float(np.trapezoid(np.interp(t, times, trace.pe), t))

@@ -332,4 +332,6 @@ def load_model(path) -> Mlp:
     params = [np.asarray(p, dtype=float) for p in blob["params"]]
     if tuple(blob["hidden"]) != HIDDEN_SIZES:
         raise ValueError(f"unsupported hidden sizes {blob['hidden']}")
+    if [p.shape for p in params] != [p.shape for p in init_mlp(blob["window"]).params]:
+        raise ValueError(f"{path}: tensor shapes differ from the {blob['window']}-sample network")
     return Mlp(params=params, mean=blob["mean"], std=blob["std"], metadata=blob["metadata"])

@@ -89,11 +89,12 @@ def gamma_ml(gamma: float, c: float, r: float) -> float:
     return base * (1.0 - r * r)
 
 
-def population_curve(gamma_eff: float, times: np.ndarray) -> PopulationTrace:
-    """Model decay curve P_e(t) = exp(-gamma_eff t) on the given grid."""
+def population_curve(gamma_eff: float, sample_period: float, n_samples: int) -> PopulationTrace:
+    """Model decay curve P_e(t) = exp(-gamma_eff t) at t = k * sample_period,
+    k = 0 .. n_samples - 1."""
     gamma_eff = _check_rate(gamma_eff, "gamma_eff")
-    times = np.asarray(times, dtype=float)
-    return PopulationTrace(times=times, pe=np.exp(-gamma_eff * times))
+    times = sample_period * np.arange(n_samples)
+    return PopulationTrace(sample_period, np.exp(-gamma_eff * times))
 
 
 @dataclass(frozen=True)

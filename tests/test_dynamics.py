@@ -135,6 +135,8 @@ class TestSchemeSpec:
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.92, kappa=92.0)
         assert spec.fastest_rate == 92.0
         assert wm_spec(lam=3.0).fastest_rate == 9.0  # lambda^2 dominates
+        # no feedback applies no gain, whatever lambda_gain says
+        assert SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, lambda_gain=1.0).fastest_rate == GAMMA
 
     @pytest.mark.parametrize("kw", [
         dict(gamma=0.0), dict(gamma=-1.0), dict(eta=0.0), dict(eta=1.2),

@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +353,20 @@ class TestPersistence:
         blob["hidden"] = [8, 8]
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="hidden"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob["params"].pop(),  # the last bias dropped
+        lambda blob: blob["params"].__setitem__(2, np.ones((16, 3)).tolist()),  # W2 of fan-in 3
+        lambda blob: blob.__setitem__("window", 5),  # W1 of fan-in 4 in a 5-sample file
+    ], ids=["missing-tensor", "w2-shape", "window-mismatch"])
+    def test_rejects_tensors_of_another_network(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_mlp(window=4), path)
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)
 
 

@@ -116,5 +116,5 @@ class TestLifetimes:
 class TestPopulationCurve:
     def test_matches_exponential(self):
         times = np.linspace(0.0, 200.0, 401)
-        trace = population_curve(GAMMA, times)
+        trace = population_curve(GAMMA, 0.5, 401)
         np.testing.assert_allclose(trace.pe, np.exp(-GAMMA * times), rtol=1e-14)

@@ -23,7 +23,7 @@ from qlift.operators import (
     excited_state,
 )
 from qlift.stochastic import EnsembleResult, run_ensemble, sme_step
-from qlift.traces import HomodyneRecord
+from qlift.traces import PE_TOLERANCE, HomodyneRecord, PopulationTrace
 
 from conftest import random_density
 
@@ -337,10 +337,13 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="single-qubit"):
             sme_step(excited_state(2), spec, 0.1, 0.0)
 
-    def test_no_feedback_ignores_gain(self):
+    @pytest.mark.parametrize("lam", [0.1, 1.0])  # a counted gain of 1.0 would cap dt at 0.01
+    def test_no_feedback_ignores_gain(self, lam):
         cfg = TrajectoryConfig(dt=0.1, t_final=10.0, seed=6, n_trajectories=4, tau=0.5)
-        gained = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.8, lambda_gain=0.1)
+        gained = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=GAMMA, eta=0.8, lambda_gain=lam)
         assert_bit_identical(run_ensemble(gained, cfg), run_ensemble(nf_spec(eta=0.8), cfg))
+        assert np.array_equal(integrate_deterministic(no_feedback_generator, gained, cfg).pe,
+                              integrate_deterministic(no_feedback_generator, nf_spec(), cfg).pe)
 
     def test_rejects_partial_sample_period(self):
         spec = nf_spec()
@@ -495,6 +498,28 @@ class TestHomodyneRecord:
     def test_rejects_bad_samples(self, samples):
         with pytest.raises(ValueError, match="samples"):
             HomodyneRecord(0.5, samples)
+
+
+class TestPopulationTrace:
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_sample_period(self, period):
+        with pytest.raises(ValueError, match="sample_period"):
+            PopulationTrace(period, np.ones(4))
+
+    @pytest.mark.parametrize("pe", [[[1.0, 0.5]], [1.0], [1.0, math.nan],
+                                    [1.0, -2 * PE_TOLERANCE], [1.0 + 2 * PE_TOLERANCE, 0.5]])
+    def test_rejects_bad_populations(self, pe):
+        with pytest.raises(ValueError):
+            PopulationTrace(0.5, pe)
+
+    def test_accepts_excursions_within_tolerance(self):
+        pe = [1.0 + PE_TOLERANCE, 0.5, -PE_TOLERANCE]
+        assert np.array_equal(PopulationTrace(0.5, pe).pe, pe)
+
+    @pytest.mark.parametrize("period, n", [(0.1, 11), (1 / 3, 151), (125.0 / 1_150_000, 1_150_001)])
+    def test_times_are_the_period_multiples(self, period, n):
+        trace = PopulationTrace(period, np.ones(n))
+        assert np.array_equal(trace.times, period * np.arange(n))
 
 
 class TestEnsembleMatchesParentLoop:
