@@ -150,6 +150,7 @@ class TrajectoryConfig:
             raise ValueError("t_final must be at least one step long")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if int(self.n_trajectories) != self.n_trajectories or self.n_trajectories < 1:
             raise ValueError("n_trajectories must be a positive integer")
         tau = self.dt if self.tau is None else self.tau

@@ -326,12 +326,34 @@ def save_model(mlp: Mlp, path) -> None:
         json.dump(blob, fh)
 
 
+# every key of a model file, with the JSON type save_model writes it as
+_MODEL_KEYS = {"window": int, "hidden": list, "params": list,
+               "mean": (int, float), "std": (int, float), "metadata": dict}
+
+
 def load_model(path) -> Mlp:
+    """Read a model written by save_model.
+
+    Raises ValueError naming the path when a key is missing or of another
+    type, or when the tensors are not those of the file's window network.
+    """
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    params = [np.asarray(p, dtype=float) for p in blob["params"]]
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: a model file holds one JSON object")
+    for key, kind in _MODEL_KEYS.items():
+        if key not in blob:
+            raise ValueError(f"{path}: no {key!r} key")
+        if isinstance(blob[key], bool) or not isinstance(blob[key], kind):
+            raise ValueError(f"{path}: {key!r} has the wrong type, got {blob[key]!r}")
+    if blob["window"] < 1:
+        raise ValueError(f"{path}: 'window' must be positive, got {blob['window']}")
     if tuple(blob["hidden"]) != HIDDEN_SIZES:
-        raise ValueError(f"unsupported hidden sizes {blob['hidden']}")
+        raise ValueError(f"{path}: unsupported hidden sizes {blob['hidden']}")
+    try:
+        params = [np.asarray(p, dtype=float) for p in blob["params"]]
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'params' holds a tensor that is not an array of numbers") from None
     if [p.shape for p in params] != [p.shape for p in init_mlp(blob["window"]).params]:
         raise ValueError(f"{path}: tensor shapes differ from the {blob['window']}-sample network")
     return Mlp(params=params, mean=blob["mean"], std=blob["std"], metadata=blob["metadata"])

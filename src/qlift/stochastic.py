@@ -188,23 +188,113 @@ class EnsembleResult:
     records: list
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
+# M. E. O'Neill's seed_seq design): the hashmix multipliers of the entropy
+# pool and of generate_state, and mix's
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _substream_states(seed: int, n: int) -> np.ndarray:
+    """PCG64 state words of trajectories 0 .. n-1, as an (n, 4) uint64 array.
+
+    Row i is np.random.SeedSequence((seed, i)).generate_state(4, np.uint64),
+    computed for all i at once: SeedSequence hashes its entropy words
+    [seed's 32-bit words, low first..., i] into a pool of four words and
+    hashes the pool out again, and every multiplier of that hash depends only
+    on how many words came before, never on their values.  So each pool word
+    is one uint32 array over i, and numpy's wrapping uint32 arithmetic is
+    the hash's.  An i of 2**32 or more would add an entropy word, so n above
+    2**32 is rejected rather than drawn from streams numpy would not give.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if n > 2**32:
+        raise ValueError(f"at most 2**32 trajectories have one-word substream keys, got {n}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = [np.full(n, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight 32-bit words cycling over the pool,
+    # read in little-endian pairs
+    state = np.empty((n, 8), dtype="<u4")
+    hash_const = _INIT_B
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, k] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _preset_seed_type():
+    """A numpy ISeedSequence whose generate_state returns the words it holds.
+
+    Made on first use, so numpy.random is loaded only by a stochastic run.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return PresetSeed
+
+
 def _noise_blocks(seed: int, n_traj: int, n_steps: int, sd: float):
     """Yield every trajectory's Wiener increments as (steps, n_traj) time blocks.
 
     Column i continues the stream of SeedSequence((seed, i)) from block to
     block, so the blocks of a column concatenate to one draw of n_steps.
+    The state words of all n_traj PCG64 generators come from one pass of
+    _substream_states, so no SeedSequence is built per trajectory; each
+    generator then draws exactly the stream its SeedSequence would give.
     Each trajectory keeps one live generator for the whole draw and fills its
     own row of a row-major (n_traj, chunk) buffer of at most _NOISE_BYTES
     (one step at the least); a block is the transposed view of that buffer,
     so a step's increments are a strided column.  Scaling standard normals
     by sd in place gives the bits Generator.normal(0, sd) returns.  The
-    n_traj generators (about 2.5 MB at 2000) are bounded by n_traj, as the
-    coordinate array of run_ensemble is.
+    n_traj generators (about 1.5 MB at 2000, by tracemalloc) are bounded by
+    n_traj, as the coordinate array of run_ensemble is.
     """
     chunk = max(1, min(n_steps, _NOISE_BYTES // (8 * n_traj)))
     buf = np.empty((n_traj, chunk))
-    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            for i in range(n_traj)]
+    preset = _preset_seed_type()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    rngs = [generator(pcg64(preset(words))) for words in _substream_states(seed, n_traj)]
     for start in range(0, n_steps, chunk):
         block = buf[:, :min(chunk, n_steps - start)]
         for rng, row in zip(rngs, block):
@@ -222,14 +312,18 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     maps are contracted so that each trajectory's arithmetic does not depend
     on how many run beside it.  Only single-qubit schemes are accepted.
 
-    Trajectory i draws its noise from np.random.SeedSequence((seed, i)), so
-    any single trajectory can be reproduced in isolation and enlarging the
-    ensemble never perturbs existing members.  The noise is drawn in time
-    chunks of at most _NOISE_BYTES, each continuing every trajectory's own
-    live generator, so memory stays bounded by n_trajectories as the horizon
-    grows and the result does not depend on the chunk size.  Populations and
-    currents are decimated to the sample period config.tau; the current
-    sample at index k is taken over the step beginning at t = k tau.
+    Trajectory i draws its noise from a PCG64 generator seeded as by
+    np.random.SeedSequence((seed, i)), so any single trajectory can be
+    reproduced in isolation and enlarging the ensemble never perturbs
+    existing members.  The state words of all the generators are hashed in
+    one vectorized pass (_substream_states), bit for bit numpy's, so set-up
+    costs about the two constructors per trajectory.  The noise is drawn in
+    time chunks of at most _NOISE_BYTES, each continuing every trajectory's
+    own live generator, so memory stays bounded by n_trajectories as the
+    horizon grows and the result does not depend on the chunk size.
+    Populations and currents are decimated to the sample period config.tau;
+    the current sample at index k is taken over the step beginning at
+    t = k tau.
     """
     maps = _step_maps(spec, config.dt)
     check_step_size(spec, config)

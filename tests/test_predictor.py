@@ -369,6 +369,33 @@ class TestPersistence:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load_model(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda blob: blob.__setitem__("window", "5"),
+        lambda blob: blob.__setitem__("window", True),
+        lambda blob: blob.__setitem__("window", 0),
+        lambda blob: blob.pop("mean"),
+        lambda blob: blob.pop("params"),
+        lambda blob: blob.__setitem__("std", None),
+        lambda blob: blob.__setitem__("hidden", 32),
+        lambda blob: blob.__setitem__("metadata", []),
+        lambda blob: blob["params"][0][0].__setitem__(0, "x"),
+    ], ids=["window-string", "window-bool", "window-zero", "no-mean", "no-params",
+            "std-null", "hidden-number", "metadata-list", "weight-string"])
+    def test_rejects_malformed_file_naming_it(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_mlp(window=5), path)
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
+    def test_rejects_a_file_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_model(path)
+
 
 class TestPredictNext:
     def test_rejects_wrong_window_length(self):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qlift
 from qlift import stochastic
 from qlift.dynamics import (
     SchemeKind,
@@ -486,6 +491,51 @@ class TestEnsembleBatch:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+class TestSubstreamSeeding:
+    """The generators' state words, hashed for all trajectories at once, are
+    numpy's SeedSequence((seed, i)) words."""
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 + 5,
+        # five entropy words: one more than the pool, mixed in after it
+        2**96 + 7,
+    ])
+    def test_states_are_seed_sequence_states(self, seed):
+        states = stochastic._substream_states(seed, 300)
+        assert states.shape == (300, 4) and states.dtype == np.uint64
+        preset = stochastic._preset_seed_type()
+        for i, words in enumerate(states):
+            sequence = np.random.SeedSequence((seed, i))
+            assert np.array_equal(words, sequence.generate_state(4, np.uint64))
+            got = np.random.Generator(np.random.PCG64(preset(words)))
+            want = np.random.default_rng(sequence)
+            assert np.array_equal(got.standard_normal(4), want.standard_normal(4))
+
+    def test_rejects_keys_past_one_word(self):
+        # trajectory 2**32 would key its stream with two 32-bit words
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            stochastic._substream_states(0, 2**32 + 1)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            stochastic._substream_states(-1, 3)
+
+    def test_integral_float_seed_is_that_integer(self):
+        spec = nf_spec(eta=0.8)
+        cfgs = [TrajectoryConfig(dt=0.1, t_final=3.0, seed=seed, n_trajectories=4, tau=0.5)
+                for seed in (5.0, 5)]
+        assert type(cfgs[0].seed) is int
+        assert_bit_identical(run_ensemble(spec, cfgs[0]), run_ensemble(spec, cfgs[1]))
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # loading numpy.random takes ~14 ms; only a stochastic run needs it
+        code = "import sys, qlift, qlift.cli; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(qlift.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
 
 
 class TestHomodyneRecord:
