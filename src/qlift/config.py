@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .predictor import TrainSettings
-from .rates import wm_scheme_name
+from .rates import check_correlation, wm_scheme_name
 
 
 class ConfigError(ValueError):
@@ -60,11 +60,10 @@ class ExperimentConfig:
         if len({wm_scheme_name(e) for e in self.eta_list}) < len(self.eta_list):
             raise ConfigError("config key 'eta_list' entries must be distinct to 6 significant "
                               f"digits (they name the feedback schemes), got {self.eta_list!r}")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ConfigError(f"config key 'r' must be >= 0 and finite, got {self.r!r}")
-        if self.r >= 1.0:
-            # the ancilla_ml rate gamma (1 - r^2) / (1 + C) would be zero
-            raise ConfigError(f"config key 'r' must be below 1, got {self.r!r}")
+        try:
+            check_correlation(self.r, "config key 'r'")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not math.isfinite(self.phi_lo):
             raise ConfigError(f"config key 'phi_lo' must be finite, got {self.phi_lo!r}")
         for name in ("n_trajectories", "window", "batch_size", "patience", "max_epochs"):

@@ -58,7 +58,7 @@ for _op in (_SIGMA_MINUS_S, _SIGMA_MINUS_A, _SIGMA_Y_A, _EXCHANGE, _PROJ_EXCITED
     _op.setflags(write=False)
 
 
-def _hermitian_coordinates(dim: int) -> tuple:
+def _hermitian_basis(dim: int) -> tuple:
     """(U, V) with vec rho = U x and x = V vec rho, for the real coordinates
     x = (rho_ii; Re rho_ij, Im rho_ij for i < j) of a Hermitian dim x dim
     matrix, vec row-major.  V U is the identity exactly."""
@@ -78,7 +78,20 @@ def _hermitian_coordinates(dim: int) -> tuple:
     return U, V
 
 
-_COORDINATES = {dim: _hermitian_coordinates(dim) for dim in (2, 4)}  # read-only
+_COORDINATES = {dim: _hermitian_basis(dim) for dim in (2, 4)}  # read-only
+
+
+def coordinate_matrix(L: np.ndarray) -> np.ndarray:
+    """Real matrix V L U, in the coordinates of _COORDINATES, of the linear map
+    on square matrices whose matrix on row-major vectorized ones is L.  Raises
+    ValueError when the map does not keep Hermiticity: V L U has an imaginary
+    part above 1e-12 max|L|."""
+    U, V = _COORDINATES[math.isqrt(len(L))]
+    M = V @ L @ U
+    leak = np.abs(M.imag).max()
+    if leak > 1e-12 * np.abs(L).max():
+        raise ValueError(f"map does not keep Hermiticity: imaginary part {leak:.3e}")
+    return np.ascontiguousarray(M.real)
 
 
 @dataclass(frozen=True)
@@ -148,11 +161,11 @@ class TrajectoryConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
             raise ValueError("t_final must be at least one step long")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        if int(self.n_trajectories) != self.n_trajectories or self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be a positive integer")
+        for name, least in (("seed", 0), ("n_trajectories", 1)):
+            v = getattr(self, name)
+            if not (v % 1 == 0 and v >= least):  # v % 1 is nan for an infinite or nan v
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            object.__setattr__(self, name, int(v))
         tau = self.dt if self.tau is None else self.tau
         object.__setattr__(self, "tau", float(tau))
         stride = self.tau / self.dt
@@ -363,9 +376,8 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     PopulationTrace
         Excited-state population of the system at every step, t = 0 included.
 
-    Raises ValueError when the generator does not keep Hermiticity: its
-    matrix in the coordinates x = (rho_ii; Re rho_ij, Im rho_ij for i < j)
-    has an imaginary part above 1e-12 max|L|, L its Liouvillian.
+    Raises ValueError when the generator does not keep Hermiticity (see
+    coordinate_matrix).
 
     One RK4 step is a fixed real matrix P acting on x, and the run is taken
     in chunks of blocks of _BLOCK steps, all in float64.  Pass 1 carries
@@ -387,14 +399,9 @@ def integrate_deterministic(generator, spec: SchemeSpec, config: TrajectoryConfi
     dt, n_steps, stride = config.dt, config.n_steps, config.sample_stride
     block = min(_BLOCK, n_steps)
     U, V = _COORDINATES[dim]
-    L = liouvillian_matrix(generator, spec)
-    M = V @ L @ U
-    leak = np.abs(M.imag).max()
-    if leak > 1e-12 * np.abs(L).max():
-        raise ValueError("generator does not keep Hermiticity: its matrix in Hermitian "
-                         f"coordinates has an imaginary part {leak:.3e}")
+    M = coordinate_matrix(liouvillian_matrix(generator, spec))
     # a stack: OpenBLAS splits one 2-D product of a whole block over threads
-    powers = _rk4_powers(np.ascontiguousarray(M.real), dt, block).reshape(-1, n, n)
+    powers = _rk4_powers(M, dt, block).reshape(-1, n, n)
     # columns 2j, 2j + 1: tr and tr(P_e .) of P^(j+1), its first dim rows summed with
     # weights 1 and w; C-contiguous, so S @ reads is _rk4_powers's BLAS product
     w = (PROJ_EXCITED if dim == 2 else _PROJ_EXCITED_S).diagonal().real

@@ -96,15 +96,20 @@ class Mlp:
     metadata: dict = field(default_factory=dict)
 
 
+def _tensor_shapes(window: int) -> list:
+    """Shapes of [W1, b1, W2, b2, W3, b3] in the window-sample network."""
+    sizes = (window,) + HIDDEN_SIZES + (1,)
+    return [shape for fan_in, fan_out in zip(sizes, sizes[1:])
+            for shape in ((fan_out, fan_in), (fan_out,))]
+
+
 def init_mlp(window: int = 5, seed: int = 0) -> Mlp:
     """Glorot-uniform initialized network, biases at zero."""
     rng = np.random.default_rng(seed)
-    sizes = (window,) + HIDDEN_SIZES + (1,)
     params = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_out, fan_in in _tensor_shapes(window)[::2]:
         bound = math.sqrt(6.0 / (fan_in + fan_out))
-        params.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        params.append(np.zeros(fan_out))
+        params += [rng.uniform(-bound, bound, size=(fan_out, fan_in)), np.zeros(fan_out)]
     return Mlp(params=params)
 
 
@@ -354,6 +359,6 @@ def load_model(path) -> Mlp:
         params = [np.asarray(p, dtype=float) for p in blob["params"]]
     except (TypeError, ValueError):
         raise ValueError(f"{path}: 'params' holds a tensor that is not an array of numbers") from None
-    if [p.shape for p in params] != [p.shape for p in init_mlp(blob["window"]).params]:
+    if [p.shape for p in params] != _tensor_shapes(blob["window"]):
         raise ValueError(f"{path}: tensor shapes differ from the {blob['window']}-sample network")
     return Mlp(params=params, mean=blob["mean"], std=blob["std"], metadata=blob["metadata"])

@@ -5,15 +5,12 @@ with a scheme-specific Gamma.  Rates are the primary objects here; lifetimes
 are always derived as 1/Gamma and never stored independently.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .traces import PopulationTrace
-
-logger = logging.getLogger(__name__)
 
 
 def _check_rate(value: float, name: str) -> float:
@@ -26,6 +23,17 @@ def _check_efficiency(eta: float) -> float:
     if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
         raise ValueError(f"detection efficiency must lie in (0, 1], got {eta!r}")
     return float(eta)
+
+
+def check_correlation(r: float, name: str = "correlation r") -> float:
+    """The predictor's correlation score r as gamma_ml takes it: finite and
+    in [0, 1), since r = 1 leaves the ancilla_ml scheme no rate and no
+    lifetime.  Raises ValueError naming the value name."""
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError(f"{name} must be >= 0 and finite, got {r!r}")
+    if r >= 1.0:
+        raise ValueError(f"{name} must be below 1, got {r!r}")
+    return float(r)
 
 
 def gamma_wm(gamma: float, eta: float, lam: float) -> float:
@@ -74,18 +82,10 @@ def gamma_ancilla(gamma: float, c: float) -> float:
 
 
 def gamma_ml(gamma: float, c: float, r: float) -> float:
-    """Predictor-assisted rate Gamma = [gamma / (1 + C)] (1 - r^2).
-
-    r is the predictor's correlation score.  Values outside [0, 1] are clamped
-    here, with a warning.  The configuration rejects r outside [0, 1), since
-    r = 1 leaves no rate and no lifetime.
-    """
+    """Predictor-assisted rate Gamma = [gamma / (1 + C)] (1 - r^2) at the
+    predictor's correlation score r (see check_correlation)."""
     base = gamma_ancilla(gamma, c)
-    if not math.isfinite(r):
-        raise ValueError(f"correlation must be finite, got {r!r}")
-    if r < 0.0 or r > 1.0:
-        logger.warning("correlation r=%g outside [0, 1]; clamping", r)
-        r = min(max(r, 0.0), 1.0)
+    r = check_correlation(r)
     return base * (1.0 - r * r)
 
 

@@ -26,12 +26,11 @@ first order in dt it is the SME above, so averaging the conditional states
 over dW recovers the deterministic master equation, which is what the
 ensemble-mean cross-checks in the tests lean on.
 
-States are held as Pauli coordinates r = (1, x, y, z), r_j = tr(sigma_j rho),
-the Bloch-vector form of the SME (K. Jacobs and D. A. Steck, Contemp. Phys.
-47, 279 (2006)).  There every linear map on 2x2 matrices is a real 4x4
-matrix, and expanding M rho M+ in powers of dy gives
+States are held in the real coordinates x of qlift.dynamics (populations
+first; see dynamics.coordinate_matrix), where expanding M rho M+ in powers
+of dy gives
 
-    r~ = G0 r + dy G1 r + dy^2 G2 r,    r <- r~ / r~_0,
+    x~ = G0 x + dy G1 x + dy^2 G2 x,    x <- x~ / (x~_0 + x~_1),
 
 with G0, G1 and G2 the matrices of rho -> A rho A+ + (1 - eta) dt c rho c+,
 rho -> B rho A+ + A rho B+ and rho -> B rho B+.
@@ -44,21 +43,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _COORDINATES,
     SchemeSpec,
     TrajectoryConfig,
     _initial_state,
     check_step_size,
+    coordinate_matrix,
     feedback_terms,
     monitored_qubit,
 )
-from .operators import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    # kept importable here: perfbench/tests/test_bench_tracing.py looks it up
-    project_physical,  # noqa: F401
-)
+# project_physical is kept importable here: perfbench/tests/test_bench_tracing.py looks it up
+from .operators import IDENTITY, project_physical  # noqa: F401
 from .traces import HomodyneRecord
 
 # Largest noise block run_ensemble holds at once, in bytes: the Wiener
@@ -67,27 +62,19 @@ from .traces import HomodyneRecord
 # each call, were seen to stay resident in the malloc heap across calls;
 # 4 MiB blocks were not.
 _NOISE_BYTES = 4 * 2**20
-_PAULI = np.stack([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def _pauli_matrix(X) -> np.ndarray:
-    """Real 4x4 matrix R[j, k] = tr(sigma_j X(sigma_k)) / 2 of a linear map X
-    on 2x2 matrices, acting on Pauli coordinates c_j = tr(sigma_j rho)."""
-    images = np.stack([X(sigma) for sigma in _PAULI])
-    return 0.5 * np.einsum("jab,kba->jk", _PAULI, images).real
-
-
-def _coordinates(rho: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (1, x, y, z) of a 2x2 state, normalized to unit trace."""
-    c = np.einsum("jab,ba->j", _PAULI, rho).real
-    return c / c[0]
+def _real_state(rho: np.ndarray) -> np.ndarray:
+    """Coordinates x = V vec rho of a 2x2 state, normalized to unit trace."""
+    x = (_COORDINATES[2][1] @ rho.ravel()).real
+    return x / (x[0] + x[1])
 
 
 @functools.lru_cache(maxsize=128)
 def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     """Read-only (13, 4) step maps for a (4, n) coordinate array: rows 0-3,
     4-7 and 8-11 are G0, G1 and G2 (see the module docstring), row 12 gives
-    s_0 = <m + m+>.
+    s_0 = <m + m+>, the trace of rho -> m rho + rho m+.
 
     Every stochastic step passes through here, so this is where a scheme the
     route does not simulate is rejected.
@@ -98,12 +85,13 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     H, channels = feedback_terms(c, F, spec.eta)
     (_, n), (undetected, _) = channels
     a = IDENTITY - dt * (1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels))
-    ad, nd, cd = a.conj().T, n.conj().T, c.conj().T
+    # np.kron(x, y.conj()) is rho -> x rho y+ on row-major vectorized matrices
+    measured = coordinate_matrix(np.kron(m, IDENTITY) + np.kron(IDENTITY, m.conj()))
     maps = np.concatenate([
-        _pauli_matrix(lambda rho: a @ rho @ ad + undetected * dt * (c @ rho @ cd)),
-        _pauli_matrix(lambda rho: n @ rho @ ad + a @ rho @ nd),
-        _pauli_matrix(lambda rho: n @ rho @ nd),
-        _pauli_matrix(lambda rho: m @ rho + rho @ m.conj().T)[:1],
+        coordinate_matrix(np.kron(a, a.conj()) + undetected * dt * np.kron(c, c.conj())),
+        coordinate_matrix(np.kron(n, a.conj()) + np.kron(a, n.conj())),
+        coordinate_matrix(np.kron(n, n.conj())),
+        measured[:1] + measured[1:2],
     ])
     maps.flags.writeable = False
     return maps
@@ -113,11 +101,11 @@ def _step_buffers(n: int) -> tuple:
     """Work arrays for :func:`_kraus_step` on n trajectories, written in place:
     at a few trajectories a step costs its number of numpy calls, not its
     arithmetic."""
-    return np.empty((13, n)), np.empty(n), np.empty((4, n))
+    return np.empty((13, n)), np.empty(n), np.empty((4, n)), np.empty(n)
 
 
 def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tuple):
-    """Advance the (4, n) Pauli coordinates c by one Kraus step, in place.
+    """Advance the (4, n) coordinates c by one Kraus step, in place.
 
     dw is the Wiener increment, one entry per trajectory (or a scalar);
     amp_dt is sqrt(eta gamma) dt; maps comes from _step_maps and buffers from
@@ -125,7 +113,7 @@ def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tup
     mean current over sqrt(eta gamma)), a view into buffers that is valid
     until the next step.
     """
-    mapped, dy, tilde = buffers
+    mapped, dy, tilde, trace = buffers
     # every row of maps has at most two nonzero entries, so no kernel einsum
     # picks can change a sum's rounding: a lone trajectory repeats its batch
     # column bit for bit
@@ -138,15 +126,16 @@ def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tup
     np.add(mapped[4:8], tilde, tilde)
     np.multiply(dy, tilde, tilde)
     np.add(mapped[:4], tilde, tilde)
-    np.divide(tilde, tilde[0], c)
+    np.add(tilde[0], tilde[1], trace)
+    np.divide(tilde, trace, c)
     return s0
 
 
 def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     """One Kraus step of the conditional state, plus the current sample.
 
-    This is run_ensemble's step at one trajectory, in Pauli coordinates (see
-    the module docstring); it always returns a valid state.
+    This is run_ensemble's step at one trajectory, in the coordinates of the
+    module docstring; it always returns a valid state.
 
     Parameters
     ----------
@@ -172,10 +161,11 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     if rho.shape != (2, 2):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
     amp = math.sqrt(spec.eta * spec.gamma)
-    c = _coordinates(rho)[:, None]
-    s0 = _kraus_step(c, dw, amp * dt, _step_maps(spec, dt), _step_buffers(1))
+    x = _real_state(rho)[:, None]
+    s0 = _kraus_step(x, dw, amp * dt, _step_maps(spec, dt), _step_buffers(1))
     current = amp * s0[0] + dw / (math.sqrt(spec.eta) * dt)
-    return 0.5 * np.einsum("jab,j->ab", _PAULI, c[:, 0]), current
+    U, _ = _COORDINATES[2]
+    return (U @ x[:, 0]).reshape(2, 2), current
 
 
 @dataclass(frozen=True)
@@ -306,11 +296,11 @@ def _noise_blocks(seed: int, n_traj: int, n_steps: int, sd: float):
 def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     """Simulate config.n_trajectories conditional trajectories in lockstep.
 
-    All trajectories are one real (4, n_trajectories) array of Pauli
-    coordinates c = (1, x, y, z), advanced together by the Kraus step of the
-    module docstring, which keeps every state physical without repair.  The
-    maps are contracted so that each trajectory's arithmetic does not depend
-    on how many run beside it.  Only single-qubit schemes are accepted.
+    All trajectories are one real (4, n_trajectories) array of coordinates,
+    P_e first, advanced together by the Kraus step of the module docstring,
+    which keeps every state physical without repair.  The maps are contracted
+    so that each trajectory's arithmetic does not depend on how many run
+    beside it.  Only single-qubit schemes are accepted.
 
     Trajectory i draws its noise from a PCG64 generator seeded as by
     np.random.SeedSequence((seed, i)), so any single trajectory can be
@@ -331,18 +321,16 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     stride = config.sample_stride
     if n_steps % stride != 0:
         raise ValueError("t_final must be a whole number of sample periods tau")
-    n_traj = int(config.n_trajectories)
+    n_traj = config.n_trajectories
     n_samples = n_steps // stride
 
     dt = config.dt
     amp = math.sqrt(spec.eta * spec.gamma)
     amp_dt = amp * dt
     noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
-    c0 = _coordinates(_initial_state(spec, config))
-    # each step divides by c~_0, so c_0 = 1 holds exactly
-    c = np.repeat(c0[:, None], n_traj, axis=1)
+    c = np.repeat(_real_state(_initial_state(spec, config))[:, None], n_traj, axis=1)
     pe = np.empty((n_traj, n_samples + 1))
-    pe[:, 0] = 0.5 * (c[0] + c[3])
+    pe[:, 0] = c[0]
     currents = np.empty((n_traj, n_samples))
     buffers = _step_buffers(n_traj)
 
@@ -354,7 +342,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
                 currents[:, step // stride] = amp * s0 + noise_gain * dw
             step += 1
             if step % stride == 0:
-                pe[:, step // stride] = 0.5 * (c[0] + c[3])
+                pe[:, step // stride] = c[0]
 
     times = config.tau * np.arange(n_samples + 1)
     mean_pe = pe.mean(axis=0)

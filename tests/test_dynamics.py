@@ -170,6 +170,12 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError):
             TrajectoryConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["seed", "n_trajectories"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_count_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= ., got {value}"):
+            TrajectoryConfig(dt=0.1, t_final=1.0, **{name: value})
+
     def test_initial_state_must_be_density(self):
         with pytest.raises(ValueError):
             TrajectoryConfig(dt=0.1, t_final=1.0, initial_state=np.eye(2))

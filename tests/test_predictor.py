@@ -1,13 +1,18 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlift
 from qlift import predictor
 from qlift.dynamics import SchemeKind, SchemeSpec, TrajectoryConfig
 from qlift.predictor import (
@@ -342,6 +347,17 @@ class TestPersistence:
         back = load_model(path)
         window = rec.samples[40:45]
         assert predict_next(back, window) == predict_next(model, window)
+
+    def test_load_leaves_numpy_random_unloaded(self, tmp_path):
+        # the shapes a file must hold follow from its window; no network is drawn
+        path = tmp_path / "model.json"
+        save_model(init_mlp(window=4), path)
+        code = ("import sys, qlift; qlift.load_model(sys.argv[1]); "
+                "print('numpy.random' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(qlift.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
 
     def test_rejects_foreign_architecture(self, tmp_path):
         model = init_mlp()

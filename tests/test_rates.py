@@ -1,4 +1,3 @@
-import logging
 import math
 
 import numpy as np
@@ -68,18 +67,19 @@ class TestAncillaRates:
         assert gamma_ancilla(GAMMA, 0.0) == GAMMA
 
     def test_gamma_ml_endpoints(self):
+        # r = 1 would leave no rate: r lies in [0, 1)
         assert gamma_ml(GAMMA, 1.84, 0.0) == gamma_ancilla(GAMMA, 1.84)
-        assert gamma_ml(GAMMA, 1.84, 1.0) == 0.0
+        with pytest.raises(ValueError, match="below 1, got 1.0$"):
+            gamma_ml(GAMMA, 1.84, 1.0)
 
     def test_gamma_ml_reference_point(self):
         # (0.02 / 2.84) * (1 - 0.54^2) = 0.0070422535... * 0.7084
         assert gamma_ml(GAMMA, 1.84, 0.54) == pytest.approx(0.0049887324, rel=1e-7)
 
-    def test_clamping_logs_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="qlift.rates"):
-            assert gamma_ml(GAMMA, 1.84, 1.3) == 0.0
-            assert gamma_ml(GAMMA, 1.84, -0.2) == gamma_ancilla(GAMMA, 1.84)
-        assert sum("clamping" in rec.message for rec in caplog.records) == 2
+    @pytest.mark.parametrize("r", [1.3, -0.2])
+    def test_r_outside_unit_interval_raises(self, r):
+        with pytest.raises(ValueError, match=f"correlation r must .*, got {r}$"):
+            gamma_ml(GAMMA, 1.84, r)
 
     def test_non_finite_r_raises(self):
         with pytest.raises(ValueError):

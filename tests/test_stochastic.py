@@ -11,12 +11,17 @@ import pytest
 import qlift
 from qlift import stochastic
 from qlift.dynamics import (
+    _COORDINATES,
     SchemeKind,
     SchemeSpec,
     TrajectoryConfig,
     _initial_state,
     check_step_size,
+    coordinate_matrix,
+    feedback_terms,
     integrate_deterministic,
+    liouvillian_matrix,
+    monitored_qubit,
     no_feedback_generator,
     wm_generator,
 )
@@ -91,10 +96,10 @@ def reference_ensemble(spec, config):
                           records=[HomodyneRecord(config.tau, c) for c in currents])
 
 
-def pauli_ensemble(spec, config):
-    """run_ensemble's Kraus step loop in Pauli coordinates without its step
-    buffers: maps built here, one temporary per operation, the contraction
-    written out as a sum over columns."""
+def unbuffered_ensemble(spec, config):
+    """run_ensemble's Kraus step loop in Hermitian coordinates without its
+    step buffers: maps built here, one temporary per operation, the
+    contraction written out as a sum over columns."""
     n_steps, stride = config.n_steps, config.sample_stride
     n_traj = int(config.n_trajectories)
     n_samples = n_steps // stride
@@ -106,19 +111,22 @@ def pauli_ensemble(spec, config):
     L = math.sqrt(spec.gamma) * m
     A = np.eye(2) - 0.5 * dt * (L.conj().T @ L)
     B = math.sqrt(spec.eta) * L
-    Ad, Bd, Ld = A.conj().T, B.conj().T, L.conj().T
-    pauli = stochastic._pauli_matrix
-    g0 = pauli(lambda rho: A @ rho @ Ad + (1.0 - spec.eta) * dt * (L @ rho @ Ld))
-    g1 = pauli(lambda rho: B @ rho @ Ad + A @ rho @ Bd)
-    g2 = pauli(lambda rho: B @ rho @ Bd)
-    k0 = pauli(lambda rho: m @ rho + rho @ m.conj().T)[0]
-    maps = np.concatenate([g0, g1, g2, k0[None]])
+
+    def sandwich(x, y):  # rho -> x rho y+ on row-major vectorized matrices
+        return np.kron(x, y.conj())
+
+    g0 = coordinate_matrix(sandwich(A, A) + (1.0 - spec.eta) * dt * sandwich(L, L))
+    g1 = coordinate_matrix(sandwich(B, A) + sandwich(A, B))
+    g2 = coordinate_matrix(sandwich(B, B))
+    measured = coordinate_matrix(sandwich(m, np.eye(2)) + sandwich(np.eye(2), m))
+    maps = np.concatenate([g0, g1, g2, measured[:1] + measured[1:2]])
     cols = [maps[:, k, None] for k in range(4)]
 
-    c0 = np.einsum("jab,ba->j", stochastic._PAULI, _initial_state(spec, config)).real
-    c = np.repeat((c0 / c0[0])[:, None], n_traj, axis=1)
+    V = _COORDINATES[2][1]
+    c0 = (V @ _initial_state(spec, config).ravel()).real
+    c = np.repeat((c0 / (c0[0] + c0[1]))[:, None], n_traj, axis=1)
     pe = np.empty((n_traj, n_samples + 1))
-    pe[:, 0] = 0.5 * (c[0] + c[3])
+    pe[:, 0] = c[0]
     currents = np.empty((n_traj, n_samples))
 
     step = 0
@@ -130,10 +138,10 @@ def pauli_ensemble(spec, config):
                 currents[:, step // stride] = dw * noise_gain + amp * s0
             dy = s0 * (amp * dt) + dw
             tilde = out[:4] + dy * (out[4:8] + dy * out[8:12])
-            c = tilde / tilde[0]
+            c = tilde / (tilde[0] + tilde[1])
             step += 1
             if step % stride == 0:
-                pe[:, step // stride] = 0.5 * (c[0] + c[3])
+                pe[:, step // stride] = c[0]
 
     sem_pe = pe.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_samples + 1)
     return EnsembleResult(times=config.tau * np.arange(n_samples + 1),
@@ -254,6 +262,40 @@ class TestStepMaps:
         maps = stochastic._step_maps(nf_spec(eta=0.7), 0.01)
         with pytest.raises(ValueError):
             maps[0, 0] = 2.0
+
+    @pytest.mark.parametrize("kind, generator", [
+        (SchemeKind.NO_FEEDBACK, no_feedback_generator),
+        (SchemeKind.WISEMAN_MILBURN, wm_generator),
+    ], ids=["no_feedback", "wiseman_milburn"])
+    def test_noise_average_is_the_master_equation_step(self, kind, generator):
+        # averaged over dy ~ N(0, dt) the unnormalized step is G0 + dt G2,
+        # which is exactly I + dt M + dt^2 (rho -> K rho K+) with
+        # K = i H' + sum rate L+L / 2 (Rouchon and Ralph, PRA 91, 012118
+        # (2015)), M the scheme's Liouvillian in the same coordinates
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            spec = SchemeSpec(kind, gamma=10 ** rng.uniform(-3, 0), eta=rng.uniform(0.05, 1),
+                              lambda_gain=rng.uniform(0, 1), phi_lo=rng.uniform(0, 2 * math.pi))
+            dt = 10 ** rng.uniform(-4, -2)
+            maps = stochastic._step_maps(spec, dt)
+            M = coordinate_matrix(liouvillian_matrix(generator, spec))
+            _, c, F = monitored_qubit(spec)
+            H, channels = feedback_terms(c, F, spec.eta)
+            K = 1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels)
+            second = coordinate_matrix(np.kron(K, K.conj()))
+            np.testing.assert_allclose(maps[:4] + dt * maps[8:12],
+                                       np.eye(4) + dt * M + dt * dt * second, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 2.0])
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    @pytest.mark.parametrize("kind", [SchemeKind.NO_FEEDBACK, SchemeKind.WISEMAN_MILBURN])
+    def test_rows_have_at_most_two_entries(self, kind, eta, phi):
+        # with two products per row no summation order can change a sum's
+        # rounding, so a lone trajectory repeats its batch column bit for bit
+        spec = SchemeSpec(kind, gamma=GAMMA, eta=eta, phi_lo=phi,
+                          lambda_gain=0.5 * math.sqrt(eta * GAMMA))
+        for dt in (1e-4, 1e-3, 1e-2):
+            assert np.count_nonzero(stochastic._step_maps(spec, dt), axis=1).max() <= 2
 
 
 class TestRunEnsemble:
@@ -422,6 +464,16 @@ class TestEnsembleBatch:
         assert gap[0] == 0.0
         assert np.all(gap[1:] < 5.0 * res.sem_pe[1:])
 
+    def test_small_population_keeps_relative_precision(self):
+        # P_e is a coordinate of the state, not (1 + z) / 2, so it keeps its
+        # relative precision down to P_e ~ 1e-9 (e^-20 at t = 1000)
+        cfg = TrajectoryConfig(dt=0.05, t_final=1000.0, seed=3, n_trajectories=4, tau=0.5)
+        res = run_ensemble(nf_spec(), cfg)
+        ref = reference_ensemble(nf_spec(), cfg)
+        small = ref.mean_pe < 1e-8
+        assert small.sum() > 100
+        np.testing.assert_allclose(res.mean_pe[small], ref.mean_pe[small], rtol=1e-10, atol=0)
+
     def test_lossy_detection_mean_is_unbiased(self):
         # at eta < 1 the clip r / max(1, |r|) of an Euler step put the pooled
         # mean 3.6 standard errors below exp(-gamma t) here; the Kraus step
@@ -587,7 +639,7 @@ class TestEnsembleMatchesParentLoop:
     def test_bit_identical(self, spec, initial_state, n_traj):
         cfg = TrajectoryConfig(dt=0.01, t_final=10.0, seed=23, n_trajectories=n_traj,
                                tau=0.5, initial_state=initial_state)
-        assert_bit_identical(run_ensemble(spec, cfg), pauli_ensemble(spec, cfg))
+        assert_bit_identical(run_ensemble(spec, cfg), unbuffered_ensemble(spec, cfg))
 
     @pytest.mark.parametrize("chunk", [33, 77])
     @pytest.mark.parametrize("spec, initial_state", CASES)
@@ -599,4 +651,4 @@ class TestEnsembleMatchesParentLoop:
                                tau=0.5, initial_state=initial_state)
         assert cfg.sample_stride == 50
         monkeypatch.setattr(stochastic, "_NOISE_BYTES", 8 * 4 * chunk)
-        assert_bit_identical(run_ensemble(spec, cfg), pauli_ensemble(spec, cfg))
+        assert_bit_identical(run_ensemble(spec, cfg), unbuffered_ensemble(spec, cfg))
