@@ -53,7 +53,7 @@ from .dynamics import (
     monitored_qubit,
 )
 # project_physical is kept importable here: perfbench/tests/test_bench_tracing.py looks it up
-from .operators import IDENTITY, project_physical  # noqa: F401
+from .operators import IDENTITY, check_density, project_physical  # noqa: F401
 from .traces import HomodyneRecord
 
 # Largest noise block run_ensemble holds at once, in bytes: the Wiener
@@ -72,9 +72,12 @@ def _real_state(rho: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
-    """Read-only (13, 4) step maps for a (4, n) coordinate array: rows 0-3,
-    4-7 and 8-11 are G0, G1 and G2 (see the module docstring), row 12 gives
-    s_0 = <m + m+>, the trace of rho -> m rho + rho m+.
+    """Read-only (26, 4) step maps for a (4, n) coordinate array, split in two
+    halves that sum to the (13, 4) maps: rows 0-3, 4-7 and 8-11 of the sum are
+    G0, G1 and G2 (see the module docstring), row 12 gives s_0 = <m + m+>, the
+    trace of rho -> m rho + rho m+.  Row j holds the first nonzero entry of
+    row j of the sum and row 13 + j its second, so each half has at most one
+    nonzero entry per row.  A map row with more than two raises ValueError.
 
     Every stochastic step passes through here, so this is where a scheme the
     route does not simulate is rejected.
@@ -93,15 +96,29 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
         coordinate_matrix(np.kron(n, n.conj())),
         measured[:1] + measured[1:2],
     ])
-    maps.flags.writeable = False
-    return maps
+    nonzero = maps != 0
+    counts = nonzero.sum(axis=1)
+    if counts.max() > 2:
+        row = int(counts.argmax())
+        raise ValueError(f"step map row {row} has {counts[row]} nonzero entries; "
+                         "an exact split takes at most two")
+    head = np.where(nonzero & (nonzero.cumsum(axis=1) == 1), maps, 0.0)
+    halves = np.concatenate([head, maps - head])
+    halves.flags.writeable = False
+    return halves
 
 
 def _step_buffers(n: int) -> tuple:
-    """Work arrays for :func:`_kraus_step` on n trajectories, written in place:
-    at a few trajectories a step costs its number of numpy calls, not its
-    arithmetic."""
-    return np.empty((13, n)), np.empty(n), np.empty((4, n)), np.empty(n)
+    """Views into one (26, n) work array for :func:`_kraus_step` on n
+    trajectories, each bound once: at a few trajectories a step costs its
+    number of numpy calls, not its arithmetic.  The second half of the
+    product is read once, by the add, and then holds the step's temporaries.
+    """
+    halves = np.empty((26, n))
+    mapped, second = halves[:13], halves[13:]
+    tilde = second[:4]
+    return (halves, mapped, second, mapped[12], mapped[:4], mapped[4:8], mapped[8:12],
+            second[4], tilde, tilde[0], tilde[1], second[5])
 
 
 def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tuple):
@@ -113,20 +130,18 @@ def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tup
     mean current over sqrt(eta gamma)), a view into buffers that is valid
     until the next step.
     """
-    mapped, dy, tilde, trace = buffers
-    # every row of maps has at most two nonzero entries, so no kernel einsum
-    # picks can change a sum's rounding: a lone trajectory repeats its batch
-    # column bit for bit
-    np.einsum("jk,kn->jn", maps, c, out=mapped)
-    s0 = mapped[12]
+    halves, mapped, second, s0, g0c, g1c, g2c, dy, tilde, tilde0, tilde1, trace = buffers
+    # exact under any BLAS kernel: each half has one nonzero entry per row
+    np.matmul(maps, c, out=halves)
+    np.add(mapped, second, mapped)
     np.multiply(s0, amp_dt, dy)
     np.add(dy, dw, dy)
     # c~ = G0 c + dy (G1 c + dy G2 c)
-    np.multiply(dy, mapped[8:12], tilde)
-    np.add(mapped[4:8], tilde, tilde)
+    np.multiply(dy, g2c, tilde)
+    np.add(g1c, tilde, tilde)
     np.multiply(dy, tilde, tilde)
-    np.add(mapped[:4], tilde, tilde)
-    np.add(tilde[0], tilde[1], trace)
+    np.add(g0c, tilde, tilde)
+    np.add(tilde0, tilde1, trace)
     np.divide(tilde, trace, c)
     return s0
 
@@ -135,19 +150,21 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     """One Kraus step of the conditional state, plus the current sample.
 
     This is run_ensemble's step at one trajectory, in the coordinates of the
-    module docstring; it always returns a valid state.
+    module docstring; from a valid state and a finite increment it returns a
+    valid state.
 
     Parameters
     ----------
     rho : np.ndarray
-        2x2 conditional state at the start of the step; it is taken as
-        Hermitian and normalized to unit trace.
+        2x2 conditional state at the start of the step; a matrix that
+        operators.check_density rejects raises ValueError.
     spec : SchemeSpec
         A single-qubit scheme, with or without feedback.
     dt : float
         Step length in microseconds.
     dw : float
-        Wiener increment for this step, variance dt.
+        Wiener increment for this step, variance dt; a non-finite one raises
+        ValueError.
 
     Returns
     -------
@@ -160,6 +177,9 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
+    check_density(rho)
+    if not math.isfinite(dw):
+        raise ValueError(f"Wiener increment must be finite, got {dw}")
     amp = math.sqrt(spec.eta * spec.gamma)
     x = _real_state(rho)[:, None]
     s0 = _kraus_step(x, dw, amp * dt, _step_maps(spec, dt), _step_buffers(1))
@@ -298,9 +318,14 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
 
     All trajectories are one real (4, n_trajectories) array of coordinates,
     P_e first, advanced together by the Kraus step of the module docstring,
-    which keeps every state physical without repair.  The maps are contracted
-    so that each trajectory's arithmetic does not depend on how many run
-    beside it.  Only single-qubit schemes are accepted.
+    which keeps every state physical without repair.  Each step contracts the
+    coordinates with the two halves of the split maps (_step_maps) in one BLAS
+    product and adds the halves.  A half has at most one nonzero entry per
+    row, so whichever kernel BLAS picks for the batch width, every entry of
+    the product is one coefficient times one coordinate, rounded once, and
+    the add rounds the sum of the two once more.  So each trajectory's
+    arithmetic does not depend on how many run beside it.  Only single-qubit
+    schemes are accepted.
 
     Trajectory i draws its noise from a PCG64 generator seeded as by
     np.random.SeedSequence((seed, i)), so any single trajectory can be

@@ -149,6 +149,26 @@ def unbuffered_ensemble(spec, config):
                           records=[HomodyneRecord(config.tau, c) for c in currents])
 
 
+def whole_maps(spec, dt):
+    """The (13, 4) step maps G0, G1, G2 and the s_0 row, built whole from the
+    scheme's Kraus operators A = I - (i H' + sum rate L+L / 2) dt and B = N."""
+    m, c, F = monitored_qubit(spec)
+    H, channels = feedback_terms(c, F, spec.eta)
+    (_, N), (undetected, _) = channels
+    A = np.eye(2) - dt * (1j * H + 0.5 * sum(rate * (L.conj().T @ L) for rate, L in channels))
+
+    def sandwich(x, y):  # rho -> x rho y+ on row-major vectorized matrices
+        return np.kron(x, y.conj())
+
+    measured = coordinate_matrix(sandwich(m, np.eye(2)) + sandwich(np.eye(2), m))
+    return np.concatenate([
+        coordinate_matrix(sandwich(A, A) + undetected * dt * sandwich(c, c)),
+        coordinate_matrix(sandwich(N, A) + sandwich(A, N)),
+        coordinate_matrix(sandwich(N, N)),
+        measured[:1] + measured[1:2],
+    ])
+
+
 def assert_bit_identical(got, want):
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.mean_pe, want.mean_pe)
@@ -208,6 +228,21 @@ class TestSmeStep:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             sme_step(np.eye(4) / 4, nf_spec(), 0.01, 0.0)
+
+    @pytest.mark.parametrize("rho", [
+        # unchecked, this matrix stepped to P_e = 2
+        pytest.param(np.diag([1.0, -0.5]), id="negative"),
+        # unchecked, normalizing by its zero trace gave NaN with a warning
+        pytest.param(np.zeros((2, 2)), id="zero"),
+    ])
+    def test_rejects_invalid_state(self, rho):
+        with pytest.raises(ValueError, match="trace"):
+            sme_step(rho, nf_spec(eta=0.8), 0.01, 0.0)
+
+    @pytest.mark.parametrize("dw", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_increment(self, dw):
+        with pytest.raises(ValueError, match="Wiener increment"):
+            sme_step(excited_state(2), nf_spec(), 0.01, dw)
 
 
 def kick(rho, spec):
@@ -278,6 +313,7 @@ class TestStepMaps:
                               lambda_gain=rng.uniform(0, 1), phi_lo=rng.uniform(0, 2 * math.pi))
             dt = 10 ** rng.uniform(-4, -2)
             maps = stochastic._step_maps(spec, dt)
+            maps = maps[:13] + maps[13:]
             M = coordinate_matrix(liouvillian_matrix(generator, spec))
             _, c, F = monitored_qubit(spec)
             H, channels = feedback_terms(c, F, spec.eta)
@@ -295,7 +331,29 @@ class TestStepMaps:
         spec = SchemeSpec(kind, gamma=GAMMA, eta=eta, phi_lo=phi,
                           lambda_gain=0.5 * math.sqrt(eta * GAMMA))
         for dt in (1e-4, 1e-3, 1e-2):
-            assert np.count_nonzero(stochastic._step_maps(spec, dt), axis=1).max() <= 2
+            maps = stochastic._step_maps(spec, dt)
+            assert np.count_nonzero(maps[:13] + maps[13:], axis=1).max() <= 2
+
+    @pytest.mark.parametrize("kind", [SchemeKind.NO_FEEDBACK, SchemeKind.WISEMAN_MILBURN])
+    def test_halves_split_the_maps_exactly(self, kind):
+        # each half has at most one nonzero entry per row, so any BLAS kernel
+        # rounds each product entry once; the halves add up to the maps
+        # built whole, with no entry in both
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            spec = SchemeSpec(kind, gamma=10 ** rng.uniform(-3, 0), eta=rng.uniform(0.05, 1),
+                              lambda_gain=rng.uniform(0, 1), phi_lo=rng.uniform(0, 2 * math.pi))
+            dt = 10 ** rng.uniform(-4, -2)
+            maps = stochastic._step_maps(spec, dt)
+            assert maps.shape == (26, 4)
+            assert np.count_nonzero(maps, axis=1).max() <= 1
+            assert not np.any((maps[:13] != 0) & (maps[13:] != 0))
+            assert np.array_equal(maps[:13] + maps[13:], whole_maps(spec, dt))
+
+    def test_rejects_rows_with_three_entries(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "coordinate_matrix", lambda L: np.ones((4, 4)))
+        with pytest.raises(ValueError, match="nonzero entries"):
+            stochastic._step_maps.__wrapped__(nf_spec(eta=0.7), 0.01)
 
 
 class TestRunEnsemble:
@@ -447,12 +505,17 @@ class TestFeedbackEnsemble:
 class TestEnsembleBatch:
     def test_lone_trajectory_matches_its_ensemble_column(self):
         # a single trajectory must take the same arithmetic path as a column
-        # of a batch (a BLAS product would switch kernels at one column)
-        spec = nf_spec(eta=0.7, phi=0.4)
+        # of a batch, though BLAS switches kernels at one column and, past
+        # 262,144 multiply-adds (2,520 columns of the split maps), splits the
+        # product over threads; the feedback maps have the most two-entry rows
+        wm = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=GAMMA, eta=0.7, phi_lo=0.4,
+                        lambda_gain=0.5 * math.sqrt(0.7 * GAMMA))
         cfg = dict(dt=0.1, t_final=20.0, seed=8, tau=0.5)
-        alone = run_ensemble(spec, TrajectoryConfig(n_trajectories=1, **cfg))
-        batch = run_ensemble(spec, TrajectoryConfig(n_trajectories=3, **cfg))
-        assert np.array_equal(alone.records[0].samples, batch.records[0].samples)
+        for spec in (nf_spec(eta=0.7, phi=0.4), wm):
+            alone = run_ensemble(spec, TrajectoryConfig(n_trajectories=1, **cfg))
+            for n_traj in (3, 3000):
+                batch = run_ensemble(spec, TrajectoryConfig(n_trajectories=n_traj, **cfg))
+                assert np.array_equal(alone.records[0].samples, batch.records[0].samples)
 
     def test_unit_efficiency_mean_is_unbiased(self):
         # clipping only the steps that leave the Bloch sphere would put the
