@@ -72,12 +72,14 @@ def _real_state(rho: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
-    """Read-only (26, 4) step maps for a (4, n) coordinate array, split in two
-    halves that sum to the (13, 4) maps: rows 0-3, 4-7 and 8-11 of the sum are
+    """Read-only (13 k, 4) step maps for a (4, n) coordinate array, split in k
+    parts that sum to the (13, 4) maps: rows 0-3, 4-7 and 8-11 of the sum are
     G0, G1 and G2 (see the module docstring), row 12 gives s_0 = <m + m+>, the
-    trace of rho -> m rho + rho m+.  Row j holds the first nonzero entry of
-    row j of the sum and row 13 + j its second, so each half has at most one
-    nonzero entry per row.  A map row with more than two raises ValueError.
+    trace of rho -> m rho + rho m+.  There is one part per entry of the
+    longest map row: k = 1 at eta = 1 without feedback and phi = 0, 2
+    otherwise.  Row 13 p + j holds the (p + 1)-th nonzero entry of row j of
+    the sum, so each part has at most one nonzero entry per row.  A map row
+    with more than two raises ValueError.
 
     Every stochastic step passes through here, so this is where a scheme the
     route does not simulate is rejected.
@@ -102,23 +104,26 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
         row = int(counts.argmax())
         raise ValueError(f"step map row {row} has {counts[row]} nonzero entries; "
                          "an exact split takes at most two")
-    head = np.where(nonzero & (nonzero.cumsum(axis=1) == 1), maps, 0.0)
-    halves = np.concatenate([head, maps - head])
-    halves.flags.writeable = False
-    return halves
+    rank = nonzero * nonzero.cumsum(axis=1)  # of each nonzero entry in its row
+    parts = np.concatenate([np.where(rank == p, maps, 0.0) for p in range(1, counts.max() + 1)])
+    parts.flags.writeable = False
+    return parts
 
 
-def _step_buffers(n: int) -> tuple:
-    """Views into one (26, n) work array for :func:`_kraus_step` on n
+def _step_buffers(maps: np.ndarray, n: int) -> tuple:
+    """Views into one work array for :func:`_kraus_step` with these maps on n
     trajectories, each bound once: at a few trajectories a step costs its
-    number of numpy calls, not its arithmetic.  The second half of the
-    product is read once, by the add, and then holds the step's temporaries.
+    number of numpy calls, not its arithmetic.  The array holds the product
+    of every part of the maps, and rows 13-18 the step's temporaries; where
+    the maps have two parts those rows are the second part, read once, by
+    its add, before the temporaries are written.
     """
-    halves = np.empty((26, n))
-    mapped, second = halves[:13], halves[13:]
-    tilde = second[:4]
-    return (halves, mapped, second, mapped[12], mapped[:4], mapped[4:8], mapped[8:12],
-            second[4], tilde, tilde[0], tilde[1], second[5])
+    work = np.empty((max(len(maps), 19), n))
+    products, mapped, temps = work[:len(maps)], work[:13], work[13:19]
+    extra = tuple(products[start:start + 13] for start in range(13, len(maps), 13))
+    tilde = temps[:4]
+    return (products, extra, mapped, mapped[12], mapped[:4], mapped[4:8], mapped[8:12],
+            temps[4], tilde, tilde[0], tilde[1], temps[5])
 
 
 def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tuple):
@@ -126,14 +131,16 @@ def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tup
 
     dw is the Wiener increment, one entry per trajectory (or a scalar);
     amp_dt is sqrt(eta gamma) dt; maps comes from _step_maps and buffers from
-    _step_buffers(n).  Returns s_0 = <m + m+> of the pre-step states (the
-    mean current over sqrt(eta gamma)), a view into buffers that is valid
-    until the next step.
+    _step_buffers(maps, n).  One BLAS product maps every part, and each part
+    past the first is added into the first, in order.  Returns s_0 =
+    <m + m+> of the pre-step states (the mean current over sqrt(eta gamma)),
+    a view into buffers that is valid until the next step.
     """
-    halves, mapped, second, s0, g0c, g1c, g2c, dy, tilde, tilde0, tilde1, trace = buffers
-    # exact under any BLAS kernel: each half has one nonzero entry per row
-    np.matmul(maps, c, out=halves)
-    np.add(mapped, second, mapped)
+    products, extra, mapped, s0, g0c, g1c, g2c, dy, tilde, tilde0, tilde1, trace = buffers
+    # exact under any BLAS kernel: each part has one nonzero entry per row
+    np.matmul(maps, c, out=products)
+    for part in extra:
+        np.add(mapped, part, mapped)
     np.multiply(s0, amp_dt, dy)
     np.add(dy, dw, dy)
     # c~ = G0 c + dy (G1 c + dy G2 c)
@@ -182,7 +189,8 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
         raise ValueError(f"Wiener increment must be finite, got {dw}")
     amp = math.sqrt(spec.eta * spec.gamma)
     x = _real_state(rho)[:, None]
-    s0 = _kraus_step(x, dw, amp * dt, _step_maps(spec, dt), _step_buffers(1))
+    maps = _step_maps(spec, dt)
+    s0 = _kraus_step(x, dw, amp * dt, maps, _step_buffers(maps, 1))
     current = amp * s0[0] + dw / (math.sqrt(spec.eta) * dt)
     U, _ = _COORDINATES[2]
     return (U @ x[:, 0]).reshape(2, 2), current
@@ -319,13 +327,15 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     All trajectories are one real (4, n_trajectories) array of coordinates,
     P_e first, advanced together by the Kraus step of the module docstring,
     which keeps every state physical without repair.  Each step contracts the
-    coordinates with the two halves of the split maps (_step_maps) in one BLAS
-    product and adds the halves.  A half has at most one nonzero entry per
-    row, so whichever kernel BLAS picks for the batch width, every entry of
-    the product is one coefficient times one coordinate, rounded once, and
-    the add rounds the sum of the two once more.  So each trajectory's
-    arithmetic does not depend on how many run beside it.  Only single-qubit
-    schemes are accepted.
+    coordinates with the parts of the split maps (_step_maps) in one BLAS
+    product and adds the parts: one part per entry of the longest map row,
+    one at eta = 1 without feedback and phi = 0 (nine numpy calls a step, no
+    add), two otherwise.  A part has at most one nonzero entry per row, so
+    whichever kernel BLAS picks for the batch width, every entry of the
+    product is one coefficient times one coordinate, rounded once, and the
+    add of a second part rounds the sum of the two once more.  So each
+    trajectory's arithmetic does not depend on how many run beside it.  Only
+    single-qubit schemes are accepted.
 
     Trajectory i draws its noise from a PCG64 generator seeded as by
     np.random.SeedSequence((seed, i)), so any single trajectory can be
@@ -357,7 +367,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     pe = np.empty((n_traj, n_samples + 1))
     pe[:, 0] = c[0]
     currents = np.empty((n_traj, n_samples))
-    buffers = _step_buffers(n_traj)
+    buffers = _step_buffers(maps, n_traj)
 
     step = 0
     for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):

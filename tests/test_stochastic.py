@@ -332,7 +332,7 @@ class TestStepMaps:
                           lambda_gain=0.5 * math.sqrt(eta * GAMMA))
         for dt in (1e-4, 1e-3, 1e-2):
             maps = stochastic._step_maps(spec, dt)
-            assert np.count_nonzero(maps[:13] + maps[13:], axis=1).max() <= 2
+            assert np.count_nonzero(maps.reshape(-1, 13, 4).sum(axis=0), axis=1).max() <= 2
 
     @pytest.mark.parametrize("kind", [SchemeKind.NO_FEEDBACK, SchemeKind.WISEMAN_MILBURN])
     def test_halves_split_the_maps_exactly(self, kind):
@@ -349,6 +349,14 @@ class TestStepMaps:
             assert np.count_nonzero(maps, axis=1).max() <= 1
             assert not np.any((maps[:13] != 0) & (maps[13:] != 0))
             assert np.array_equal(maps[:13] + maps[13:], whole_maps(spec, dt))
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 2.5e-3, 1e-2])
+    def test_unit_efficiency_without_feedback_is_one_part(self, dt):
+        # at eta = 1 without feedback (phi = 0) no map row has two entries,
+        # so the maps are one part and a step adds no second one
+        maps = stochastic._step_maps(nf_spec(eta=1.0), dt)
+        assert maps.shape == (13, 4)
+        assert np.array_equal(maps, whole_maps(nf_spec(eta=1.0), dt))
 
     def test_rejects_rows_with_three_entries(self, monkeypatch):
         monkeypatch.setattr(stochastic, "coordinate_matrix", lambda L: np.ones((4, 4)))
@@ -506,14 +514,16 @@ class TestEnsembleBatch:
     def test_lone_trajectory_matches_its_ensemble_column(self):
         # a single trajectory must take the same arithmetic path as a column
         # of a batch, though BLAS switches kernels at one column and, past
-        # 262,144 multiply-adds (2,520 columns of the split maps), splits the
-        # product over threads; the feedback maps have the most two-entry rows
+        # 262,144 multiply-adds (2,520 columns of two-part maps, 5,041 of
+        # one-part maps), splits the product over threads; the feedback maps
+        # have the most two-entry rows, and at eta = 1 without feedback the
+        # maps are one part
         wm = SchemeSpec(SchemeKind.WISEMAN_MILBURN, gamma=GAMMA, eta=0.7, phi_lo=0.4,
                         lambda_gain=0.5 * math.sqrt(0.7 * GAMMA))
         cfg = dict(dt=0.1, t_final=20.0, seed=8, tau=0.5)
-        for spec in (nf_spec(eta=0.7, phi=0.4), wm):
+        for spec in (nf_spec(eta=0.7, phi=0.4), wm, nf_spec(eta=1.0)):
             alone = run_ensemble(spec, TrajectoryConfig(n_trajectories=1, **cfg))
-            for n_traj in (3, 3000):
+            for n_traj in (3, 6000):
                 batch = run_ensemble(spec, TrajectoryConfig(n_trajectories=n_traj, **cfg))
                 assert np.array_equal(alone.records[0].samples, batch.records[0].samples)
 
