@@ -15,7 +15,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import fields
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .dynamics import (
     wm_generator,
 )
 from .fitting import FitError, fit_exponential, fit_exponential_offset
-from .predictor import TrainingDiverged, TrainSettings, build_dataset, train, save_model
+from .predictor import TrainingDiverged, build_dataset, train, save_model
 from .stochastic import run_ensemble
 from .traces import HomodyneRecord
 
@@ -180,11 +179,9 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         record = _simulate_records(cfg, 1).records[0]
         print(f"simulated a fresh record ({record.samples.shape[0]} samples)")
 
-    # every TrainSettings field is a config key of the same name
-    settings = TrainSettings(**{f.name: getattr(cfg, f.name) for f in fields(TrainSettings)})
     # a record too short for the window or for the validation carve-out
     try:
-        model = train(build_dataset(record, window=cfg.window), settings)
+        model = train(build_dataset(record, window=cfg.window), cfg.train_settings())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     meta = model.metadata

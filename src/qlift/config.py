@@ -5,11 +5,11 @@ lines, ``#`` comments.  Unknown sections or keys are rejected with the file
 name and line number, as are unparseable values and a key set twice.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .predictor import TrainSettings
 from .rates import check_correlation, wm_scheme_name
+from .traces import check_count, check_efficiency, check_finite, check_positive
 
 
 class ConfigError(ValueError):
@@ -44,37 +44,29 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def validate(self) -> "ExperimentConfig":
-        def positive(name):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"config key '{name}' must be positive, got {v!r}")
-
-        for name in ("gamma", "g", "kappa", "dt", "t_final", "tau",
-                     "learning_rate", "val_fraction"):
-            positive(name)
-        if not (0.0 < self.eta <= 1.0):
-            raise ConfigError(f"config key 'eta' must lie in (0, 1], got {self.eta!r}")
-        for e in self.eta_list:
-            if not (0.0 < e <= 1.0):
-                raise ConfigError(f"config key 'eta_list' entries must lie in (0, 1], got {e!r}")
-        if len({wm_scheme_name(e) for e in self.eta_list}) < len(self.eta_list):
-            raise ConfigError("config key 'eta_list' entries must be distinct to 6 significant "
-                              f"digits (they name the feedback schemes), got {self.eta_list!r}")
+        """Check every key by the rules in qlift.traces, raising ConfigError."""
+        key = "config key '{}'".format
         try:
-            check_correlation(self.r, "config key 'r'")
+            for name in ("gamma", "g", "kappa", "dt", "t_final", "tau"):
+                check_positive(getattr(self, name), key(name))
+            check_efficiency(self.eta, key("eta"))
+            for e in self.eta_list:
+                check_efficiency(e, key("eta_list") + " entries")
+            if len({wm_scheme_name(e) for e in self.eta_list}) < len(self.eta_list):
+                raise ValueError("config key 'eta_list' entries must be distinct to 6 significant "
+                                 f"digits (they name the feedback schemes), got {self.eta_list!r}")
+            check_correlation(self.r, key("r"))
+            check_finite(self.phi_lo, key("phi_lo"))
+            for name, least in (("n_trajectories", 1), ("window", 1), ("seed", 0)):
+                check_count(getattr(self, name), key(name), least)
+            self.train_settings()  # the [predictor] keys, named as its fields
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not math.isfinite(self.phi_lo):
-            raise ConfigError(f"config key 'phi_lo' must be finite, got {self.phi_lo!r}")
-        for name in ("n_trajectories", "window", "batch_size", "patience", "max_epochs"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v > 0):
-                raise ConfigError(f"config key '{name}' must be a positive integer, got {v!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"config key 'seed' must be a non-negative integer, got {self.seed!r}")
-        if self.val_fraction >= 1.0:
-            raise ConfigError("config key 'val_fraction' must be below 1")
         return self
+
+    def train_settings(self) -> TrainSettings:
+        """The TrainSettings of the keys named as its fields, which it checks."""
+        return TrainSettings(**{f.name: getattr(self, f.name) for f in fields(TrainSettings)})
 
     def echo(self) -> str:
         """Human-readable dump of every resolved value, grouped by section."""

@@ -30,7 +30,8 @@ from .operators import (
     excited_state,
     tensor,
 )
-from .traces import PE_TOLERANCE, PopulationTrace
+from .traces import (PE_TOLERANCE, PopulationTrace, check_count, check_efficiency,
+                     check_finite, check_nonnegative, check_positive)
 
 
 class IntegrationError(RuntimeError):
@@ -114,16 +115,11 @@ class SchemeSpec:
     def __post_init__(self):
         if not isinstance(self.kind, SchemeKind):
             raise ValueError(f"kind must be a SchemeKind, got {self.kind!r}")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if not (math.isfinite(self.eta) and 0.0 < self.eta <= 1.0):
-            raise ValueError(f"eta must lie in (0, 1], got {self.eta!r}")
+        check_positive(self.gamma, "gamma")
+        check_efficiency(self.eta, "eta")
         for name in ("lambda_gain", "g", "kappa"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be >= 0 and finite, got {v!r}")
-        if not math.isfinite(self.phi_lo):
-            raise ValueError("phi_lo must be finite")
+            check_nonnegative(getattr(self, name), name)
+        check_finite(self.phi_lo, "phi_lo")
 
     @property
     def dim(self) -> int:
@@ -144,9 +140,9 @@ class SchemeSpec:
 class TrajectoryConfig:
     """Integration grid and ensemble bookkeeping.
 
-    tau is the output sample period (a whole multiple of dt); results are
-    decimated to that grid where the interface says so.  initial_state of
-    None means "system excited, ancilla in ground".
+    t_final and the output sample period tau are whole multiples of dt, of
+    one step at least; results are decimated to tau where the interface
+    says so.  initial_state of None means "system excited, ancilla in ground".
     """
 
     dt: float
@@ -157,23 +153,17 @@ class TrajectoryConfig:
     initial_state: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (math.isfinite(self.t_final) and self.t_final >= self.dt):
-            raise ValueError("t_final must be at least one step long")
+        dt = check_positive(self.dt, "dt")
         for name, least in (("seed", 0), ("n_trajectories", 1)):
-            v = getattr(self, name)
-            if not (v % 1 == 0 and v >= least):  # v % 1 is nan for an infinite or nan v
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        tau = self.dt if self.tau is None else self.tau
-        object.__setattr__(self, "tau", float(tau))
-        stride = self.tau / self.dt
-        if abs(stride - round(stride)) > 1e-9 * max(1.0, stride):
-            raise ValueError(f"tau={self.tau} is not a whole multiple of dt={self.dt}")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(f"t_final={self.t_final} is not a whole multiple of dt={self.dt}")
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
+        object.__setattr__(self, "tau", dt if self.tau is None else self.tau)
+        for name in ("t_final", "tau"):
+            value = check_positive(getattr(self, name), name)
+            object.__setattr__(self, name, value)
+            steps = value / dt
+            if round(steps) < 1 or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+                raise ValueError(f"{name}={value} is not a whole multiple of dt={dt} "
+                                 "of at least one step")
         if self.initial_state is not None:
             state = np.asarray(self.initial_state, dtype=complex)
             check_density(state)
@@ -235,9 +225,7 @@ def lindblad_rhs(H: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     out = -1j * (H @ rho - rho @ H)
     for rate, L in channels:
-        if rate < 0:
-            raise ValueError(f"channel rate must be >= 0, got {rate!r}")
-        if rate == 0:
+        if check_nonnegative(rate, "channel rate") == 0:
             continue
         out = out + rate * dissipator(L, rho)
     return out

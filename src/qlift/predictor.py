@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .traces import HomodyneRecord
+from .traces import HomodyneRecord, check_count, check_finite, check_positive
 
 HIDDEN_SIZES = (32, 16)
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -62,11 +62,10 @@ class WindowDataset:
 def build_dataset(record: HomodyneRecord, window: int = 5) -> WindowDataset:
     """Slide a window of the given length over the record.
 
-    Raises ValueError when the record has fewer than window + 2 samples
-    (at least one training and one test pair are required).
+    Raises ValueError when window is not an integer >= 1 or the record has
+    fewer than window + 2 samples (one training and one test pair at least).
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    window = check_count(window, "window", 1)
     samples = record.samples
     n_pairs = samples.shape[0] - window
     if n_pairs < 2:
@@ -178,12 +177,21 @@ def _unflatten(theta, shapes):
 
 @dataclass(frozen=True)
 class TrainSettings:
+    """Settings of train; a field out of its range raises ValueError naming it."""
+
     learning_rate: float = 1e-3
     batch_size: int = 32
     patience: int = 20
     max_epochs: int = 2000
     val_fraction: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        check_positive(self.learning_rate, "learning_rate")
+        if check_positive(self.val_fraction, "val_fraction") >= 1.0:
+            raise ValueError(f"val_fraction must be below 1, got {self.val_fraction!r}")
+        for name, least in (("batch_size", 1), ("patience", 1), ("max_epochs", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, least))
 
 
 def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
@@ -340,7 +348,8 @@ def load_model(path) -> Mlp:
     """Read a model written by save_model.
 
     Raises ValueError naming the path when a key is missing or of another
-    type, or when the tensors are not those of the file's window network.
+    type, a number is out of its range, or the tensors are not those of the
+    file's window network.
     """
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -351,8 +360,9 @@ def load_model(path) -> Mlp:
             raise ValueError(f"{path}: no {key!r} key")
         if isinstance(blob[key], bool) or not isinstance(blob[key], kind):
             raise ValueError(f"{path}: {key!r} has the wrong type, got {blob[key]!r}")
-    if blob["window"] < 1:
-        raise ValueError(f"{path}: 'window' must be positive, got {blob['window']}")
+    check_count(blob["window"], f"{path}: 'window'", 1)
+    check_finite(blob["mean"], f"{path}: 'mean'")
+    check_positive(blob["std"], f"{path}: 'std'")
     if tuple(blob["hidden"]) != HIDDEN_SIZES:
         raise ValueError(f"{path}: unsupported hidden sizes {blob['hidden']}")
     try:

@@ -10,28 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .traces import PopulationTrace
-
-
-def _check_rate(value: float, name: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
-
-
-def _check_efficiency(eta: float) -> float:
-    if not (math.isfinite(eta) and 0.0 < eta <= 1.0):
-        raise ValueError(f"detection efficiency must lie in (0, 1], got {eta!r}")
-    return float(eta)
+from .traces import (PopulationTrace, check_count, check_efficiency, check_nonnegative,
+                     check_positive)
 
 
 def check_correlation(r: float, name: str = "correlation r") -> float:
     """The predictor's correlation score r as gamma_ml takes it: finite and
     in [0, 1), since r = 1 leaves the ancilla_ml scheme no rate and no
     lifetime.  Raises ValueError naming the value name."""
-    if not (math.isfinite(r) and r >= 0.0):
-        raise ValueError(f"{name} must be >= 0 and finite, got {r!r}")
-    if r >= 1.0:
+    if check_nonnegative(r, name) >= 1.0:
         raise ValueError(f"{name} must be below 1, got {r!r}")
     return float(r)
 
@@ -45,10 +32,9 @@ def gamma_wm(gamma: float, eta: float, lam: float) -> float:
     at gamma - 2 sqrt(eta gamma) lam cos(phi) + 2 lam^2, so the feedback rows
     of ``qlift compare`` then deviate from this form by design.
     """
-    gamma = _check_rate(gamma, "gamma")
-    eta = _check_efficiency(eta)
-    if not math.isfinite(lam) or lam < 0:
-        raise ValueError(f"feedback gain must be >= 0, got {lam!r}")
+    gamma = check_positive(gamma, "gamma")
+    eta = check_efficiency(eta, "detection efficiency")
+    lam = check_nonnegative(lam, "feedback gain")
     return gamma - 2.0 * math.sqrt(eta * gamma) * lam + 2.0 * lam * lam
 
 
@@ -60,24 +46,23 @@ def wm_scheme_name(eta: float) -> str:
 def optimal_lambda(gamma: float, eta: float) -> float:
     """Gain minimizing gamma_wm: lam* = sqrt(eta gamma) / 2, giving
     Gamma(lam*) = gamma (1 - eta/2)."""
-    gamma = _check_rate(gamma, "gamma")
-    eta = _check_efficiency(eta)
+    gamma = check_positive(gamma, "gamma")
+    eta = check_efficiency(eta, "detection efficiency")
     return 0.5 * math.sqrt(eta * gamma)
 
 
 def cooperativity(g: float, kappa: float, gamma: float) -> float:
     """C = 4 g^2 / (kappa gamma) for coupling g and ancilla linewidth kappa."""
-    g = _check_rate(g, "g")
-    kappa = _check_rate(kappa, "kappa")
-    gamma = _check_rate(gamma, "gamma")
+    g = check_positive(g, "g")
+    kappa = check_positive(kappa, "kappa")
+    gamma = check_positive(gamma, "gamma")
     return 4.0 * g * g / (kappa * gamma)
 
 
 def gamma_ancilla(gamma: float, c: float) -> float:
     """Ancilla-assisted rate Gamma = gamma / (1 + C)."""
-    gamma = _check_rate(gamma, "gamma")
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"cooperativity must be >= 0, got {c!r}")
+    gamma = check_positive(gamma, "gamma")
+    c = check_nonnegative(c, "cooperativity")
     return gamma / (1.0 + c)
 
 
@@ -92,8 +77,8 @@ def gamma_ml(gamma: float, c: float, r: float) -> float:
 def population_curve(gamma_eff: float, sample_period: float, n_samples: int) -> PopulationTrace:
     """Model decay curve P_e(t) = exp(-gamma_eff t) at t = k * sample_period,
     k = 0 .. n_samples - 1."""
-    gamma_eff = _check_rate(gamma_eff, "gamma_eff")
-    times = sample_period * np.arange(n_samples)
+    gamma_eff = check_positive(gamma_eff, "gamma_eff")
+    times = sample_period * np.arange(check_count(n_samples, "n_samples", 2))
     return PopulationTrace(sample_period, np.exp(-gamma_eff * times))
 
 
@@ -105,7 +90,7 @@ class RateResult:
     gamma_eff: float
 
     def __post_init__(self):
-        _check_rate(self.gamma_eff, "gamma_eff")
+        check_positive(self.gamma_eff, "gamma_eff")
 
     @property
     def t1(self) -> float:
@@ -120,7 +105,7 @@ def rate_table(gamma: float, etas, c: float, r: float):
     at cooperativity ``c``, and the ancilla scheme with predictor correlation
     ``r``.
     """
-    rows = [RateResult("no_feedback", _check_rate(gamma, "gamma"))]
+    rows = [RateResult("no_feedback", check_positive(gamma, "gamma"))]
     for eta in etas:
         lam = optimal_lambda(gamma, eta)
         rows.append(RateResult(wm_scheme_name(eta), gamma_wm(gamma, eta, lam)))

@@ -54,7 +54,7 @@ from .dynamics import (
 )
 # project_physical is kept importable here: perfbench/tests/test_bench_tracing.py looks it up
 from .operators import IDENTITY, check_density, project_physical  # noqa: F401
-from .traces import HomodyneRecord
+from .traces import HomodyneRecord, check_count, check_finite, check_positive
 
 # Largest noise block run_ensemble holds at once, in bytes: the Wiener
 # increments are drawn in time chunks of at most this size, so memory stays
@@ -82,10 +82,11 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     with more than two raises ValueError.
 
     Every stochastic step passes through here, so this is where a scheme the
-    route does not simulate is rejected.
+    route does not simulate, or a bad dt, is rejected, once per cached map.
     """
     if spec.dim != 2:
         raise ValueError("the stochastic route covers single-qubit monitoring schemes only")
+    dt = check_positive(dt, "dt")
     m, c, F = monitored_qubit(spec)
     H, channels = feedback_terms(c, F, spec.eta)
     (_, n), (undetected, _) = channels
@@ -168,7 +169,7 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     spec : SchemeSpec
         A single-qubit scheme, with or without feedback.
     dt : float
-        Step length in microseconds.
+        Step length in microseconds; ValueError unless positive and finite.
     dw : float
         Wiener increment for this step, variance dt; a non-finite one raises
         ValueError.
@@ -185,8 +186,7 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
     if rho.shape != (2, 2):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
     check_density(rho)
-    if not math.isfinite(dw):
-        raise ValueError(f"Wiener increment must be finite, got {dw}")
+    check_finite(dw, "Wiener increment")
     amp = math.sqrt(spec.eta * spec.gamma)
     x = _real_state(rho)[:, None]
     maps = _step_maps(spec, dt)
@@ -228,8 +228,7 @@ def _substream_states(seed: int, n: int) -> np.ndarray:
     the hash's.  An i of 2**32 or more would add an entropy word, so n above
     2**32 is rejected rather than drawn from streams numpy would not give.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_count(seed, "seed", 0)
     if n > 2**32:
         raise ValueError(f"at most 2**32 trajectories have one-word substream keys, got {n}")
     words = [seed & _MASK32]

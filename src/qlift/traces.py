@@ -1,6 +1,8 @@
 """Time-series containers shared by the simulation and analysis layers: each is
 a sample period and the values sampled at it from t = 0, with ``times`` derived.
 Times are in microseconds throughout; rates are in inverse microseconds.
+It also holds the five checks of every scalar parameter of the package: each
+returns the value (an int for a count) or raises a ValueError naming it.
 """
 
 import math
@@ -12,9 +14,35 @@ import numpy as np
 PE_TOLERANCE = 1e-9
 
 
-def _check_period(sample_period: float) -> None:
-    if not (sample_period > 0 and math.isfinite(sample_period)):
-        raise ValueError("sample_period must be positive and finite")
+
+def check_finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def check_positive(value: float, name: str) -> float:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_nonnegative(value: float, name: str) -> float:
+    if not (value >= 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+    return float(value)
+
+
+def check_efficiency(value: float, name: str) -> float:
+    if not 0.0 < value <= 1.0:  # false for nan
+        raise ValueError(f"{name} must lie in (0, 1], got {value!r}")
+    return float(value)
+
+
+def check_count(value, name: str, least: int) -> int:
+    if not (value % 1 == 0 and value >= least):  # value % 1 is nan for an inf or nan value
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -30,7 +58,7 @@ class PopulationTrace:
     def __post_init__(self):
         pe = np.asarray(self.pe, dtype=float)
         object.__setattr__(self, "pe", pe)
-        _check_period(self.sample_period)
+        check_positive(self.sample_period, "sample_period")
         if pe.ndim != 1 or pe.shape[0] < 2:
             raise ValueError("pe must be a one-dimensional array of at least two samples")
         if not np.isfinite(pe).all():
@@ -58,7 +86,7 @@ class HomodyneRecord:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
         object.__setattr__(self, "samples", samples)
-        _check_period(self.sample_period)
+        check_positive(self.sample_period, "sample_period")
         if samples.ndim != 1 or samples.shape[0] < 1:
             raise ValueError("samples must be a non-empty one-dimensional array")
         if not np.isfinite(samples).all():

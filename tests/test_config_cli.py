@@ -123,8 +123,8 @@ out_dir = elsewhere
         ("[physics]\nr = 1.0\n", "'r' must be below 1, got 1.0$"),
         ("[physics]\nr = 1.5\n", "'r' must be below 1, got 1.5$"),
         ("[physics]\nphi_lo = inf\n", "'phi_lo' must be finite"),
-        ("[ensemble]\nseed = -1\n", "non-negative"),
-        ("[ensemble]\nseed = -1\n", "non-negative integer, got -1$"),
+        ("[ensemble]\nseed = -1\n", "'seed' must be an integer >= 0"),
+        ("[ensemble]\nseed = -1\n", "must be an integer >= 0, got -1$"),
         ("[predictor]\nval_fraction = 1.0\n", "below 1"),
         ("[integration]\ndt = 0\n", "must be positive"),
     ])

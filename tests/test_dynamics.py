@@ -165,9 +165,12 @@ class TestTrajectoryConfig:
         dict(dt=0.1, t_final=1.0, tau=0.25), dict(dt=0.1, t_final=1.03),
         dict(dt=0.1, t_final=1.0, seed=-1),
         dict(dt=0.1, t_final=1.0, n_trajectories=0),
+        # a sample period below one step once gave a stride of 0 or -1
+        *(dict(dt=0.1, t_final=1.0, tau=tau) for tau in (0.0, -0.1, 1e-12, math.inf, math.nan)),
     ])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        # ZeroDivisionError and OverflowError are not ValueErrors
+        with pytest.raises(ValueError, match="tau" if "tau" in kw else None):
             TrajectoryConfig(**kw)
 
     @pytest.mark.parametrize("name", ["seed", "n_trajectories"])

@@ -142,9 +142,11 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="too short"):
             build_dataset(HomodyneRecord(0.5, np.arange(6.0)), window=5)
 
-    def test_bad_window_rejected(self):
+    @pytest.mark.parametrize("window", [0, 2.5])
+    def test_bad_window_rejected(self, window):
+        # unchecked, 2.5 raised IndexError
         with pytest.raises(ValueError, match="window"):
-            build_dataset(HomodyneRecord(0.5, np.arange(10.0)), window=0)
+            build_dataset(HomodyneRecord(0.5, np.arange(10.0)), window=window)
 
     def test_dataset_validation(self):
         with pytest.raises(ValueError, match="2-d"):
@@ -153,6 +155,24 @@ class TestBuildDataset:
             WindowDataset(np.zeros((4, 5)), np.zeros(3), 2)
         with pytest.raises(ValueError, match="halves"):
             WindowDataset(np.zeros((4, 5)), np.zeros(4), 4)
+
+
+class TestTrainSettings:
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", -1e-3), ("learning_rate", math.nan), ("batch_size", 0),
+        ("batch_size", 2.5), ("patience", 0), ("max_epochs", 0), ("val_fraction", 0.0),
+        ("val_fraction", 1.0), ("seed", -1),
+    ])
+    def test_field_out_of_range_is_named(self, name, value):
+        # unchecked, learning_rate -1e-3 trained uphill and batch_size 0 raised
+        # from range()
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            TrainSettings(**{name: value})
+
+    def test_integral_float_count_is_that_integer(self):
+        settings = TrainSettings(batch_size=16.0)
+        assert settings == TrainSettings(batch_size=16)
+        assert type(settings.batch_size) is int
 
 
 class TestNetworkPieces:
@@ -392,11 +412,14 @@ class TestPersistence:
         lambda blob: blob.pop("mean"),
         lambda blob: blob.pop("params"),
         lambda blob: blob.__setitem__("std", None),
+        # unchecked, a standardizer of std 0 or mean nan loaded and predicted nan
+        lambda blob: blob.__setitem__("std", 0.0),
+        lambda blob: blob.__setitem__("mean", math.nan),
         lambda blob: blob.__setitem__("hidden", 32),
         lambda blob: blob.__setitem__("metadata", []),
         lambda blob: blob["params"][0][0].__setitem__(0, "x"),
     ], ids=["window-string", "window-bool", "window-zero", "no-mean", "no-params",
-            "std-null", "hidden-number", "metadata-list", "weight-string"])
+            "std-null", "std-zero", "mean-nan", "hidden-number", "metadata-list", "weight-string"])
     def test_rejects_malformed_file_naming_it(self, tmp_path, edit):
         path = tmp_path / "model.json"
         save_model(init_mlp(window=5), path)

@@ -118,3 +118,9 @@ class TestPopulationCurve:
         times = np.linspace(0.0, 200.0, 401)
         trace = population_curve(GAMMA, 0.5, 401)
         np.testing.assert_allclose(trace.pe, np.exp(-GAMMA * times), rtol=1e-14)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 1, math.inf])
+    def test_rejects_a_sample_count_that_is_not_a_whole_two_or_more(self, n_samples):
+        # unchecked, 2.5 gave three samples
+        with pytest.raises(ValueError, match="n_samples"):
+            population_curve(GAMMA, 0.5, n_samples)

@@ -33,7 +33,16 @@ from qlift.operators import (
     excited_state,
 )
 from qlift.stochastic import EnsembleResult, run_ensemble, sme_step
-from qlift.traces import PE_TOLERANCE, HomodyneRecord, PopulationTrace
+from qlift.traces import (
+    PE_TOLERANCE,
+    HomodyneRecord,
+    PopulationTrace,
+    check_count,
+    check_efficiency,
+    check_finite,
+    check_nonnegative,
+    check_positive,
+)
 
 from conftest import random_density
 
@@ -243,6 +252,25 @@ class TestSmeStep:
     def test_rejects_non_finite_increment(self, dw):
         with pytest.raises(ValueError, match="Wiener increment"):
             sme_step(excited_state(2), nf_spec(), 0.01, dw)
+
+    @pytest.mark.parametrize("dt", [-0.05, 0.0, math.inf, math.nan])
+    def test_rejects_bad_step(self, dt):
+        # unchecked, -0.05 stepped backward and 0 divided by zero
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            sme_step(excited_state(2), nf_spec(), dt, 0.0)
+
+    def test_step_check_is_paid_once_per_cached_map(self, monkeypatch):
+        names = []
+        check = stochastic.check_positive
+        monkeypatch.setattr(stochastic, "check_positive",
+                            lambda value, name: names.append(name) or check(value, name))
+        stochastic._step_maps.cache_clear()
+        rho = excited_state(2)
+        for _ in range(5):
+            rho, _ = sme_step(rho, nf_spec(eta=0.8), 0.01, 0.001)
+        info = stochastic._step_maps.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        assert names == ["dt"]
 
 
 def kick(rho, spec):
@@ -661,6 +689,30 @@ class TestSubstreamSeeding:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out == "False\n"
+
+
+class TestScalarChecks:
+    @pytest.mark.parametrize("check, good, bad", [
+        (check_finite, [0, -2.5, 1e308], [math.inf, -math.inf, math.nan]),
+        (check_positive, [1e-300, 3], [0.0, -1.0, math.inf, math.nan]),
+        (check_nonnegative, [0, 0.0, 2.5], [-1e-300, math.inf, math.nan]),
+        (check_efficiency, [1e-9, 0.5, 1], [0.0, -0.5, 1.0 + 1e-15, math.inf, math.nan]),
+    ])
+    def test_returns_the_float_or_names_the_parameter(self, check, good, bad):
+        for value in good:
+            got = check(value, "x")
+            assert type(got) is float and got == value
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^x must .*, got {value!r}$"):
+                check(value, "x")
+
+    def test_count_returns_the_int_or_names_the_parameter(self):
+        for value, least in [(0, 0), (3, 1), (3.0, 3), (np.int64(7), 1), (2**70, 0)]:
+            got = check_count(value, "n", least)
+            assert type(got) is int and got == value
+        for value, least in [(-1, 0), (0, 1), (2.5, 1), (math.inf, 0), (math.nan, 0)]:
+            with pytest.raises(ValueError, match=f"^n must be an integer >= {least}, got"):
+                check_count(value, "n", least)
 
 
 class TestHomodyneRecord:
