@@ -35,7 +35,7 @@ from .dynamics import (
 from .fitting import FitError, fit_exponential, fit_exponential_offset
 from .predictor import TrainingDiverged, build_dataset, train, save_model
 from .stochastic import run_ensemble
-from .traces import HomodyneRecord
+from .traces import HomodyneRecord, check_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,17 +68,28 @@ def _resolve_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _sample_count(t_final: float, tau: float) -> int:
+def _check_size(count: float, t_final: float, tau: float, dt: float) -> None:
+    """Raise ConfigError unless one float64 array, whose size in bytes is an
+    intp, can hold the count + 1 samples or steps of a grid."""
+    if not count < np.iinfo(np.intp).max // 8 - 1:  # false for an overflow to inf
+        raise ConfigError(f"t_final = {t_final!r}, tau = {tau!r} and dt = {dt!r} give "
+                          f"{count:.3g} samples or steps, more than an array can hold")
+
+
+def _sample_count(cfg: ExperimentConfig, t_final: float) -> int:
     """The whole number of sample periods nearest to t_final / tau, at least one."""
-    return max(1, round(t_final / tau))
+    _check_size(t_final / cfg.tau, t_final, cfg.tau, cfg.dt)
+    return max(1, round(t_final / cfg.tau))
 
 
 def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final: float, **kwargs) -> TrajectoryConfig:
     """The grid of one scheme: t_final in _sample_count equal sample periods,
     the same for every scheme, each in the fewest equal steps that keep dt
     at or below both the configured dt and the scheme's step bound."""
-    period = t_final / _sample_count(t_final, cfg.tau)
-    stride = fewest_steps(period, min(cfg.dt, max_step(spec)))
+    n = _sample_count(cfg, t_final)
+    period, step = t_final / n, min(cfg.dt, max_step(spec))
+    _check_size(n * (period / step + 1.0), t_final, cfg.tau, step)  # at least stride * n
+    stride = fewest_steps(period, step)
     return TrajectoryConfig(dt=period / stride, t_final=t_final, seed=cfg.seed,
                             tau=period, **kwargs)
 
@@ -104,10 +115,11 @@ def _scheme_specs(cfg: ExperimentConfig):
 
 
 def _simulate_records(cfg: ExperimentConfig, n: int):
-    """n homodyne trajectories of the monitored qubit without feedback."""
+    """The grid and the ensemble of n homodyne trajectories of the monitored qubit."""
     spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=cfg.gamma, eta=cfg.eta,
                       phi_lo=cfg.phi_lo)
-    return run_ensemble(spec, _grid(spec, cfg, cfg.t_final, n_trajectories=n))
+    grid = _grid(spec, cfg, cfg.t_final, n_trajectories=n)
+    return grid, run_ensemble(spec, grid)
 
 
 def cmd_rates(cfg: ExperimentConfig, args) -> int:
@@ -125,11 +137,13 @@ def cmd_rates(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
-    if args.records < 0:
-        raise ConfigError(f"--records must be >= 0, got {args.records}")
+    try:
+        check_count(args.records, "--records", 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     print(cfg.echo())
     _, table = _rate_table(cfg)
-    n = _sample_count(cfg.t_final, cfg.tau)
+    n = _sample_count(cfg, cfg.t_final)
     for row in table:
         trace = rates_mod.population_curve(row.gamma_eff, cfg.t_final / n, n + 1)
         path = os.path.join(cfg.out_dir, f"pe_{row.scheme}.csv")
@@ -137,10 +151,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         print(f"wrote {path}  (rate {row.gamma_eff:.6f}/us, T1 {row.t1:.2f} us)")
 
     if args.records > 0:
-        result = _simulate_records(cfg, args.records)
-        for i, record in enumerate(result.records):
+        _, result = _simulate_records(cfg, args.records)
+        for i, currents in enumerate(result.records):
             path = os.path.join(cfg.out_dir, f"record_{i:03d}.csv")
-            _write_series(path, ["time_us", "current"], record.times, record.samples)
+            _write_series(path, ["time_us", "current"], result.times[:-1], currents)
         path = os.path.join(cfg.out_dir, "pe_sme_mean.csv")
         _write_series(path, ["time_us", "pe"], result.times, result.mean_pe)
         print(f"wrote {args.records} current record(s) and {path}")
@@ -176,7 +190,8 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
         record = _record_from_csv(args.record)
         print(f"loaded record {args.record} ({record.samples.shape[0]} samples)")
     else:
-        record = _simulate_records(cfg, 1).records[0]
+        grid, result = _simulate_records(cfg, 1)
+        record = HomodyneRecord(grid.tau, result.records[0])
         print(f"simulated a fresh record ({record.samples.shape[0]} samples)")
 
     # a record too short for the window or for the validation carve-out

@@ -286,7 +286,7 @@ def train(dataset: WindowDataset, settings: TrainSettings | None = None) -> Mlp:
     try:
         test_r = correlation_r(pred_test, y_test)
     except ValueError:
-        # a collapsed (constant) prediction has no defined correlation
+        # a collapsed (constant) or non-finite prediction has no defined correlation
         test_r = None
     mlp.metadata = {
         "train_mse": float(np.mean((pred_train - y_train_half[: split - n_val]) ** 2)),
@@ -313,13 +313,15 @@ def predict_next(mlp: Mlp, window_samples) -> float:
 def correlation_r(predicted, actual) -> float:
     """Pearson correlation between two sequences.
 
-    Raises ValueError when either sequence has zero variance; a flat
-    prediction is a degenerate score, not r = 0.
+    Raises ValueError when either sequence has a non-finite value or zero
+    variance; a flat prediction is a degenerate score, not r = 0.
     """
     p = np.asarray(predicted, dtype=float)
     a = np.asarray(actual, dtype=float)
     if p.shape != a.shape or p.ndim != 1 or p.shape[0] < 2:
         raise ValueError("need two equal-length sequences of at least 2 points")
+    if not (np.isfinite(p).all() and np.isfinite(a).all()):
+        raise ValueError("correlation undefined for non-finite input")
     if p.std() < 1e-15 or a.std() < 1e-15:
         raise ValueError("correlation undefined for zero-variance input")
     return float(np.corrcoef(p, a)[0, 1])

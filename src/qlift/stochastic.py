@@ -54,7 +54,7 @@ from .dynamics import (
 )
 # project_physical is kept importable here: perfbench/tests/test_bench_tracing.py looks it up
 from .operators import IDENTITY, check_density, project_physical  # noqa: F401
-from .traces import HomodyneRecord, check_count, check_finite, check_positive
+from .traces import check_count, check_finite, check_positive
 
 # Largest noise block run_ensemble holds at once, in bytes: the Wiener
 # increments are drawn in time chunks of at most this size, so memory stays
@@ -198,12 +198,13 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Decimated ensemble summary plus the per-trajectory current records."""
+    """Decimated ensemble summary, with records one read-only (n_trajectories,
+    n_samples) array: row i is trajectory i's current, sampled at times[:-1]."""
 
     times: np.ndarray
     mean_pe: np.ndarray
     sem_pe: np.ndarray
-    records: list
+    records: np.ndarray
 
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx, after
@@ -346,7 +347,7 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     own live generator, so memory stays bounded by n_trajectories as the
     horizon grows and the result does not depend on the chunk size.
     Populations and currents are decimated to the sample period config.tau;
-    the current sample at index k is taken over the step beginning at
+    the current sample at column k is taken over the step beginning at
     t = k tau.
     """
     maps = _step_maps(spec, config.dt)
@@ -384,5 +385,5 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
         sem_pe = pe.std(axis=0, ddof=1) / math.sqrt(n_traj)
     else:
         sem_pe = np.zeros(n_samples + 1)
-    records = [HomodyneRecord(config.tau, currents[i]) for i in range(n_traj)]
-    return EnsembleResult(times=times, mean_pe=mean_pe, sem_pe=sem_pe, records=records)
+    currents.flags.writeable = False
+    return EnsembleResult(times=times, mean_pe=mean_pe, sem_pe=sem_pe, records=currents)

@@ -14,7 +14,6 @@ import numpy as np
 PE_TOLERANCE = 1e-9
 
 
-
 def check_finite(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -45,6 +44,18 @@ def check_count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _check_series(sample_period, values, least: int, non_finite: str, bad_shape: str):
+    """values as a float array, after the rules every series shares: a positive
+    sample period, one dimension of at least least samples, and finite values."""
+    values = np.asarray(values, dtype=float)
+    check_positive(sample_period, "sample_period")
+    if values.ndim != 1 or values.shape[0] < least:
+        raise ValueError(bad_shape)
+    if not np.isfinite(values).all():
+        raise ValueError(non_finite)
+    return values
+
+
 @dataclass(frozen=True)
 class PopulationTrace:
     """Excited-state population sampled at a uniform period from t = 0:
@@ -56,13 +67,9 @@ class PopulationTrace:
     pe: np.ndarray
 
     def __post_init__(self):
-        pe = np.asarray(self.pe, dtype=float)
+        pe = _check_series(self.sample_period, self.pe, 2, "trace contains non-finite values",
+                           "pe must be a one-dimensional array of at least two samples")
         object.__setattr__(self, "pe", pe)
-        check_positive(self.sample_period, "sample_period")
-        if pe.ndim != 1 or pe.shape[0] < 2:
-            raise ValueError("pe must be a one-dimensional array of at least two samples")
-        if not np.isfinite(pe).all():
-            raise ValueError("trace contains non-finite values")
         if pe.min() < -PE_TOLERANCE or pe.max() > 1.0 + PE_TOLERANCE:
             raise ValueError(f"population out of [0, 1]: min={pe.min():.3e}, max={pe.max():.3e}")
 
@@ -84,13 +91,10 @@ class HomodyneRecord:
     samples: np.ndarray
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = _check_series(self.sample_period, self.samples, 1,
+                                "record contains non-finite samples",
+                                "samples must be a non-empty one-dimensional array")
         object.__setattr__(self, "samples", samples)
-        check_positive(self.sample_period, "sample_period")
-        if samples.ndim != 1 or samples.shape[0] < 1:
-            raise ValueError("samples must be a non-empty one-dimensional array")
-        if not np.isfinite(samples).all():
-            raise ValueError("record contains non-finite samples")
 
     @property
     def times(self) -> np.ndarray:

@@ -230,7 +230,7 @@ class TestCliSimulate:
     def test_negative_record_count_exits_2(self, tmp_path, capsys):
         out = tmp_path / "res"
         assert main(["simulate", "--out", str(out), "--records", "-2"]) == 2
-        assert "--records must be >= 0, got -2" in capsys.readouterr().err
+        assert "--records must be an integer >= 0, got -2" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_seed_override_controls_records(self, tmp_path):
@@ -477,6 +477,28 @@ class TestCliPlumbing:
         code = main(["rates", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "res")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, snippet", [
+        # t_final / tau overflows to inf
+        ("simulate", "t_final = 1e300\ntau = 1e-300\n"),
+        ("simulate", "t_final = 1e300\n"),
+        ("simulate", "tau = 1e-300\n"),
+        ("compare", "tau = 1e-300\n"),
+        ("train", "tau = 1e-300\n"),
+        # 5e301 steps of 1e-300 in 100 us
+        ("compare", "dt = 1e-300\n"),
+    ])
+    def test_grid_no_array_can_hold_exits_2(self, tmp_path, capsys, command, snippet):
+        # unchecked, each exited 1 with numpy's "Maximum allowed size (or
+        # dimension) exceeded"; sizes like these allocate nothing, as numpy
+        # refuses them before it tries
+        cfg = write_config(tmp_path, "[integration]\n" + snippet)
+        out = tmp_path / "res"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "more than an array can hold" in err
+        assert all(f"{name} = " in err for name in ("t_final", "tau", "dt"))
+        assert not list(out.glob("*.csv"))
 
     def test_command_is_required(self):
         with pytest.raises(SystemExit) as exc:

@@ -113,7 +113,7 @@ def reference_train(dataset, settings=TrainSettings()):
 def sme_record():
     spec = SchemeSpec(SchemeKind.NO_FEEDBACK, gamma=0.02, eta=1.0)
     cfg = TrajectoryConfig(dt=0.05, t_final=250.0, seed=7, n_trajectories=1, tau=0.5)
-    return run_ensemble(spec, cfg).records[0]
+    return HomodyneRecord(cfg.tau, run_ensemble(spec, cfg).records[0])
 
 
 class TestBuildDataset:
@@ -456,6 +456,15 @@ class TestCorrelation:
             correlation_r(np.ones(5), np.arange(5.0))
         with pytest.raises(ValueError, match="zero-variance"):
             correlation_r(np.arange(5.0), np.ones(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # unchecked, nan gave r = nan and inf gave numpy RuntimeWarnings
+        x = np.array([1.0, 2.0, 4.0, 7.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            correlation_r(np.array([1.0, bad, 3.0, 5.0]), x)
+        with pytest.raises(ValueError, match="non-finite"):
+            correlation_r(x, np.array([1.0, 2.0, bad, 5.0]))
 
     def test_shape_requirements(self):
         with pytest.raises(ValueError):

@@ -101,8 +101,7 @@ def reference_ensemble(spec, config):
 
     sem_pe = pe.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_samples + 1)
     return EnsembleResult(times=config.tau * np.arange(n_samples + 1),
-                          mean_pe=pe.mean(axis=0), sem_pe=sem_pe,
-                          records=[HomodyneRecord(config.tau, c) for c in currents])
+                          mean_pe=pe.mean(axis=0), sem_pe=sem_pe, records=currents)
 
 
 def unbuffered_ensemble(spec, config):
@@ -154,8 +153,7 @@ def unbuffered_ensemble(spec, config):
 
     sem_pe = pe.std(axis=0, ddof=1) / math.sqrt(n_traj) if n_traj > 1 else np.zeros(n_samples + 1)
     return EnsembleResult(times=config.tau * np.arange(n_samples + 1),
-                          mean_pe=pe.mean(axis=0), sem_pe=sem_pe,
-                          records=[HomodyneRecord(config.tau, c) for c in currents])
+                          mean_pe=pe.mean(axis=0), sem_pe=sem_pe, records=currents)
 
 
 def whole_maps(spec, dt):
@@ -182,8 +180,7 @@ def assert_bit_identical(got, want):
     assert np.array_equal(got.times, want.times)
     assert np.array_equal(got.mean_pe, want.mean_pe)
     assert np.array_equal(got.sem_pe, want.sem_pe)
-    for a, b in zip(got.records, want.records, strict=True):
-        assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(got.records, want.records)
 
 
 class TestSmeStep:
@@ -409,8 +406,7 @@ class TestRunEnsemble:
         a = run_ensemble(spec, cfg)
         b = run_ensemble(spec, cfg)
         assert np.array_equal(a.mean_pe, b.mean_pe)
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.samples, rb.samples)
+        assert np.array_equal(a.records, b.records)
 
     @pytest.mark.parametrize("phi, initial_state", [
         pytest.param(0.0, None, id="excited"),
@@ -433,7 +429,7 @@ class TestRunEnsemble:
                 _, current = sme_step(rho, spec, 0.1, dw)
                 samples.append(current)
             rho, _ = sme_step(rho, spec, 0.1, dw)
-        np.testing.assert_allclose(res.records[2].samples, samples, atol=1e-9)
+        np.testing.assert_allclose(res.records[2], samples, atol=1e-9)
 
     def test_growing_ensemble_keeps_existing_members(self):
         spec = nf_spec()
@@ -441,8 +437,8 @@ class TestRunEnsemble:
                                                     n_trajectories=2, tau=0.5))
         large = run_ensemble(spec, TrajectoryConfig(dt=0.1, t_final=3.0, seed=2,
                                                     n_trajectories=5, tau=0.5))
-        for i in range(2):
-            assert np.array_equal(small.records[i].samples, large.records[i].samples)
+        # row i of each is trajectory i's current, bit for bit
+        assert np.array_equal(small.records, large.records[:2])
 
     def test_current_noise_scale(self):
         # the record is dominated by the dW/(sqrt(eta) dt) term decimated to
@@ -451,19 +447,22 @@ class TestRunEnsemble:
         cfg = TrajectoryConfig(dt=0.1, t_final=100.0, seed=21,
                                n_trajectories=40, tau=0.5)
         res = run_ensemble(spec, cfg)
-        samples = np.concatenate([r.samples for r in res.records])
+        samples = res.records.ravel()
         assert samples.var() == pytest.approx(1.0 / (0.5 * 0.1), rel=0.08)
         assert abs(samples.mean()) < 5.0 * samples.std() / math.sqrt(samples.size)
 
     def test_record_shapes_and_period(self):
+        # one row per trajectory, one column per sample time but the last
         spec = nf_spec()
         cfg = TrajectoryConfig(dt=0.1, t_final=10.0, seed=1, n_trajectories=4, tau=1.0)
         res = run_ensemble(spec, cfg)
-        assert len(res.records) == 4
-        assert res.records[0].sample_period == pytest.approx(1.0)
-        assert res.records[0].samples.shape == (10,)
+        assert res.records.shape == (4, 10) and res.records.dtype == np.float64
+        assert res.times[1] == pytest.approx(1.0)
         assert res.times.shape == (11,)
         assert res.mean_pe.shape == (11,)
+        assert not res.records.flags.writeable
+        with pytest.raises(ValueError):
+            res.records[0, 0] = 0.0
 
     def test_rejects_four_level_scheme(self):
         spec = SchemeSpec(SchemeKind.ANCILLA_COHERENT, gamma=GAMMA, g=0.1, kappa=1.0)
@@ -517,8 +516,7 @@ class TestEnsembleMatchesReferenceLoop:
         np.testing.assert_array_equal(res.times, ref.times)
         np.testing.assert_allclose(res.mean_pe, ref.mean_pe, rtol=0, atol=1e-12)
         np.testing.assert_allclose(res.sem_pe, ref.sem_pe, rtol=0, atol=1e-12)
-        for got, want in zip(res.records, ref.records, strict=True):
-            np.testing.assert_allclose(got.samples, want.samples, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(res.records, ref.records, rtol=0, atol=1e-12)
 
 
 class TestFeedbackEnsemble:
@@ -553,7 +551,7 @@ class TestEnsembleBatch:
             alone = run_ensemble(spec, TrajectoryConfig(n_trajectories=1, **cfg))
             for n_traj in (3, 6000):
                 batch = run_ensemble(spec, TrajectoryConfig(n_trajectories=n_traj, **cfg))
-                assert np.array_equal(alone.records[0].samples, batch.records[0].samples)
+                assert np.array_equal(alone.records, batch.records[:1])
 
     def test_unit_efficiency_mean_is_unbiased(self):
         # clipping only the steps that leave the Bloch sphere would put the
@@ -610,8 +608,7 @@ class TestEnsembleBatch:
         assert blocks == [30, 30, 30, 10]
         assert np.array_equal(chunked.mean_pe, whole.mean_pe)
         assert np.array_equal(chunked.sem_pe, whole.sem_pe)
-        for a, b in zip(chunked.records, whole.records, strict=True):
-            assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(chunked.records, whole.records)
 
     @pytest.mark.parametrize("n_traj", [1, 3, 7])
     def test_noise_blocks_continue_each_trajectory_stream(self, monkeypatch, n_traj):
