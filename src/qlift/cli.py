@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .fitting import FitError, fit_exponential, fit_exponential_offset
 from .predictor import TrainingDiverged, build_dataset, train, save_model
-from .stochastic import run_ensemble
+from .stochastic import check_trajectory_count, run_ensemble
 from .traces import HomodyneRecord, check_count
 
 EXIT_OK = 0
@@ -94,12 +94,6 @@ def _grid(spec: SchemeSpec, cfg: ExperimentConfig, t_final: float, **kwargs) -> 
                             tau=period, **kwargs)
 
 
-def _rate_table(cfg: ExperimentConfig):
-    """The cooperativity and the closed-form rate of every scheme, by name."""
-    c = rates_mod.cooperativity(cfg.g, cfg.kappa, cfg.gamma)
-    return c, rates_mod.rate_table(cfg.gamma, etas=cfg.eta_list, c=c, r=cfg.r)
-
-
 def _scheme_specs(cfg: ExperimentConfig):
     """The comparison set as (name, spec, generator): bare decay, feedback at
     optimal gain per eta, ancilla, named as in the rate table."""
@@ -123,7 +117,7 @@ def _simulate_records(cfg: ExperimentConfig, n: int):
 
 
 def cmd_rates(cfg: ExperimentConfig, args) -> int:
-    c, table = _rate_table(cfg)
+    c, table = cfg.rate_table()
     print(cfg.echo())
     print(f"\ncooperativity C = {c:.4f}")
     print(f"{'scheme':<14} {'rate [1/us]':>12} {'T1 [us]':>10}")
@@ -138,11 +132,11 @@ def cmd_rates(cfg: ExperimentConfig, args) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     try:
-        check_count(args.records, "--records", 0)
+        check_trajectory_count(check_count(args.records, "--records", 0), "--records")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     print(cfg.echo())
-    _, table = _rate_table(cfg)
+    _, table = cfg.rate_table()
     n = _sample_count(cfg, cfg.t_final)
     for row in table:
         trace = rates_mod.population_curve(row.gamma_eff, cfg.t_final / n, n + 1)
@@ -217,7 +211,7 @@ def cmd_train(cfg: ExperimentConfig, args) -> int:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     print(cfg.echo())
-    _, table = _rate_table(cfg)
+    _, table = cfg.rate_table()
     model = {row.scheme: row.gamma_eff for row in table}
     rows = []
     for name, spec, generator in _scheme_specs(cfg):

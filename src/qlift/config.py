@@ -8,7 +8,7 @@ name and line number, as are unparseable values and a key set twice.
 from dataclasses import dataclass, fields
 
 from .predictor import TrainSettings
-from .rates import check_correlation, wm_scheme_name
+from .rates import check_correlation, cooperativity, rate_table, wm_scheme_name
 from .traces import check_count, check_efficiency, check_finite, check_positive
 
 
@@ -60,6 +60,7 @@ class ExperimentConfig:
             for name, least in (("n_trajectories", 1), ("window", 1), ("seed", 0)):
                 check_count(getattr(self, name), key(name), least)
             self.train_settings()  # the [predictor] keys, named as its fields
+            self.rate_table()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return self
@@ -67,6 +68,17 @@ class ExperimentConfig:
     def train_settings(self) -> TrainSettings:
         """The TrainSettings of the keys named as its fields, which it checks."""
         return TrainSettings(**{f.name: getattr(self, f.name) for f in fields(TrainSettings)})
+
+    def rate_table(self):
+        """The cooperativity and the closed-form rate of every scheme, by name;
+        ValueError naming the keys that set them where one is not a finite positive
+        float, as when it overflows or underflows (gamma = 1e-200, g = 1e200)."""
+        try:
+            c = cooperativity(self.g, self.kappa, self.gamma)
+            return c, rate_table(self.gamma, etas=self.eta_list, c=c, r=self.r)
+        except ValueError as exc:
+            raise ValueError("config keys 'gamma', 'eta_list', 'g', 'kappa' and 'r' give no "
+                             f"finite positive closed-form rates: {exc}") from None
 
     def echo(self) -> str:
         """Human-readable dump of every resolved value, grouped by section."""

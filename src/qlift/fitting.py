@@ -62,9 +62,12 @@ def _fit_above_floor(period: float, y: np.ndarray, top: float, what: str) -> Dec
         raise InsufficientPointsError(
             f"only {n} usable {what} above the floor, need {MIN_POINTS}"
         )
-    slope, rms = _loglinear_slope(period * np.flatnonzero(mask), np.log(y[mask]))
+    with np.errstate(all="ignore"):  # a slope out of range is rejected below
+        slope, rms = _loglinear_slope(period * np.flatnonzero(mask), np.log(y[mask]))
     if slope >= 0.0:
         raise NonDecayingTraceError(f"fitted slope {slope:.3e} is not negative")
+    if not math.isfinite(slope):
+        raise FitError(f"fitted slope {slope!r} at sample period {period!r} us is not finite")
     return DecayFit(gamma_eff=-slope, rms_residual=rms, n_points_used=n)
 
 

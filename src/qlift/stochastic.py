@@ -63,6 +63,16 @@ from .traces import check_count, check_finite, check_positive
 # 4 MiB blocks were not.
 _NOISE_BYTES = 4 * 2**20
 
+# Trajectory i keys its noise stream with the one 32-bit word i (see _substream_states)
+MAX_TRAJECTORIES = 2**32
+
+
+def check_trajectory_count(n: int, name: str) -> int:
+    """n, or ValueError naming name if it is above MAX_TRAJECTORIES."""
+    if n > MAX_TRAJECTORIES:
+        raise ValueError(f"{name} must be at most 2**32 (one-word substream keys), got {n}")
+    return n
+
 
 def _real_state(rho: np.ndarray) -> np.ndarray:
     """Coordinates x = V vec rho of a 2x2 state, normalized to unit trace."""
@@ -78,8 +88,10 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
     trace of rho -> m rho + rho m+.  There is one part per entry of the
     longest map row: k = 1 at eta = 1 without feedback and phi = 0, 2
     otherwise.  Row 13 p + j holds the (p + 1)-th nonzero entry of row j of
-    the sum, so each part has at most one nonzero entry per row.  A map row
-    with more than two raises ValueError.
+    the sum, so each part has at most one nonzero entry per row, whatever k:
+    every BLAS kernel rounds each entry of a part's product once, and adding
+    the parts in order rounds each sum once more, so a trajectory's
+    arithmetic does not depend on how many run beside it.
 
     Every stochastic step passes through here, so this is where a scheme the
     route does not simulate, or a bad dt, is rejected, once per cached map.
@@ -100,58 +112,53 @@ def _step_maps(spec: SchemeSpec, dt: float) -> np.ndarray:
         measured[:1] + measured[1:2],
     ])
     nonzero = maps != 0
-    counts = nonzero.sum(axis=1)
-    if counts.max() > 2:
-        row = int(counts.argmax())
-        raise ValueError(f"step map row {row} has {counts[row]} nonzero entries; "
-                         "an exact split takes at most two")
     rank = nonzero * nonzero.cumsum(axis=1)  # of each nonzero entry in its row
-    parts = np.concatenate([np.where(rank == p, maps, 0.0) for p in range(1, counts.max() + 1)])
+    parts = np.concatenate([np.where(rank == p, maps, 0.0) for p in range(1, rank.max() + 1)])
     parts.flags.writeable = False
     return parts
 
 
-def _step_buffers(maps: np.ndarray, n: int) -> tuple:
-    """Views into one work array for :func:`_kraus_step` with these maps on n
-    trajectories, each bound once: at a few trajectories a step costs its
-    number of numpy calls, not its arithmetic.  The array holds the product
-    of every part of the maps, and rows 13-18 the step's temporaries; where
-    the maps have two parts those rows are the second part, read once, by
-    its add, before the temporaries are written.
+def _kraus_stepper(spec: SchemeSpec, dt: float, n: int):
+    """The Kraus step of n trajectories: step(c, dw, current=None) advances
+    the (4, n) coordinates c in place by the Wiener increments dw (one per
+    trajectory, or a scalar) and, given an array current of n entries, writes
+    there the current sqrt(eta gamma) s_0 + dw / (sqrt(eta) dt), s_0 = <m + m+>
+    of the pre-step states.  The maps, both gains and the views of one work
+    array (every part's product, then six rows of temporaries) are bound once:
+    at a few trajectories a step costs its numpy calls, nine with one-part
+    maps and one add more per extra part, not its arithmetic.
     """
-    work = np.empty((max(len(maps), 19), n))
-    products, mapped, temps = work[:len(maps)], work[:13], work[13:19]
-    extra = tuple(products[start:start + 13] for start in range(13, len(maps), 13))
-    tilde = temps[:4]
-    return (products, extra, mapped, mapped[12], mapped[:4], mapped[4:8], mapped[8:12],
-            temps[4], tilde, tilde[0], tilde[1], temps[5])
+    maps = _step_maps(spec, dt)
+    amp = math.sqrt(spec.eta * spec.gamma)
+    amp_dt = amp * dt
+    noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
+    work = np.empty((len(maps) + 6, n))
+    products, mapped, temps = work[:len(maps)], work[:13], work[len(maps):]
+    extra = [products[start:start + 13] for start in range(13, len(maps), 13)]
+    s0, g0c, g1c, g2c = mapped[12], mapped[:4], mapped[4:8], mapped[8:12]
+    tilde, dy, trace = temps[:4], temps[4], temps[5]
+    tilde0, tilde1 = tilde[:2]
 
+    def step(c, dw, current=None):
+        # exact under any BLAS kernel: each part has one nonzero entry per row
+        np.matmul(maps, c, out=products)
+        for part in extra:
+            np.add(mapped, part, mapped)
+        np.multiply(s0, amp_dt, dy)
+        np.add(dy, dw, dy)
+        # c~ = G0 c + dy (G1 c + dy G2 c)
+        np.multiply(dy, g2c, tilde)
+        np.add(g1c, tilde, tilde)
+        np.multiply(dy, tilde, tilde)
+        np.add(g0c, tilde, tilde)
+        np.add(tilde0, tilde1, trace)
+        np.divide(tilde, trace, c)
+        if current is not None:
+            np.multiply(dw, noise_gain, dy)
+            np.multiply(s0, amp, current)
+            np.add(current, dy, current)
 
-def _kraus_step(c: np.ndarray, dw, amp_dt: float, maps: np.ndarray, buffers: tuple):
-    """Advance the (4, n) coordinates c by one Kraus step, in place.
-
-    dw is the Wiener increment, one entry per trajectory (or a scalar);
-    amp_dt is sqrt(eta gamma) dt; maps comes from _step_maps and buffers from
-    _step_buffers(maps, n).  One BLAS product maps every part, and each part
-    past the first is added into the first, in order.  Returns s_0 =
-    <m + m+> of the pre-step states (the mean current over sqrt(eta gamma)),
-    a view into buffers that is valid until the next step.
-    """
-    products, extra, mapped, s0, g0c, g1c, g2c, dy, tilde, tilde0, tilde1, trace = buffers
-    # exact under any BLAS kernel: each part has one nonzero entry per row
-    np.matmul(maps, c, out=products)
-    for part in extra:
-        np.add(mapped, part, mapped)
-    np.multiply(s0, amp_dt, dy)
-    np.add(dy, dw, dy)
-    # c~ = G0 c + dy (G1 c + dy G2 c)
-    np.multiply(dy, g2c, tilde)
-    np.add(g1c, tilde, tilde)
-    np.multiply(dy, tilde, tilde)
-    np.add(g0c, tilde, tilde)
-    np.add(tilde0, tilde1, trace)
-    np.divide(tilde, trace, c)
-    return s0
+    return step
 
 
 def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
@@ -187,13 +194,10 @@ def sme_step(rho: np.ndarray, spec: SchemeSpec, dt: float, dw: float):
         raise ValueError(f"conditional state must be 2x2, got {rho.shape}")
     check_density(rho)
     check_finite(dw, "Wiener increment")
-    amp = math.sqrt(spec.eta * spec.gamma)
     x = _real_state(rho)[:, None]
-    maps = _step_maps(spec, dt)
-    s0 = _kraus_step(x, dw, amp * dt, maps, _step_buffers(maps, 1))
-    current = amp * s0[0] + dw / (math.sqrt(spec.eta) * dt)
-    U, _ = _COORDINATES[2]
-    return (U @ x[:, 0]).reshape(2, 2), current
+    current = np.empty(1)
+    _kraus_stepper(spec, dt, 1)(x, dw, current)
+    return (_COORDINATES[2][0] @ x[:, 0]).reshape(2, 2), current[0]
 
 
 @dataclass(frozen=True)
@@ -226,12 +230,11 @@ def _substream_states(seed: int, n: int) -> np.ndarray:
     hashes the pool out again, and every multiplier of that hash depends only
     on how many words came before, never on their values.  So each pool word
     is one uint32 array over i, and numpy's wrapping uint32 arithmetic is
-    the hash's.  An i of 2**32 or more would add an entropy word, so n above
-    2**32 is rejected rather than drawn from streams numpy would not give.
+    the hash's.  An i of 2**32 or more would add an entropy word, so
+    run_ensemble rejects n above MAX_TRAJECTORIES rather than draw streams
+    numpy would not give.
     """
     seed = check_count(seed, "seed", 0)
-    if n > 2**32:
-        raise ValueError(f"at most 2**32 trajectories have one-word substream keys, got {n}")
     words = [seed & _MASK32]
     while seed := seed >> 32:
         words.append(seed & _MASK32)
@@ -325,17 +328,11 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     """Simulate config.n_trajectories conditional trajectories in lockstep.
 
     All trajectories are one real (4, n_trajectories) array of coordinates,
-    P_e first, advanced together by the Kraus step of the module docstring,
-    which keeps every state physical without repair.  Each step contracts the
-    coordinates with the parts of the split maps (_step_maps) in one BLAS
-    product and adds the parts: one part per entry of the longest map row,
-    one at eta = 1 without feedback and phi = 0 (nine numpy calls a step, no
-    add), two otherwise.  A part has at most one nonzero entry per row, so
-    whichever kernel BLAS picks for the batch width, every entry of the
-    product is one coefficient times one coordinate, rounded once, and the
-    add of a second part rounds the sum of the two once more.  So each
-    trajectory's arithmetic does not depend on how many run beside it.  Only
-    single-qubit schemes are accepted.
+    P_e first, advanced together by sme_step's Kraus step (_kraus_stepper),
+    which keeps every state physical without repair; its split maps
+    (_step_maps) keep each trajectory's arithmetic independent of how many
+    run beside it.  Only single-qubit schemes are accepted, and at most
+    MAX_TRAJECTORIES trajectories, checked before anything is allocated.
 
     Trajectory i draws its noise from a PCG64 generator seeded as by
     np.random.SeedSequence((seed, i)), so any single trajectory can be
@@ -350,31 +347,24 @@ def run_ensemble(spec: SchemeSpec, config: TrajectoryConfig) -> EnsembleResult:
     the current sample at column k is taken over the step beginning at
     t = k tau.
     """
-    maps = _step_maps(spec, config.dt)
+    n_traj = check_trajectory_count(config.n_trajectories, "n_trajectories")
+    advance = _kraus_stepper(spec, config.dt, n_traj)
     check_step_size(spec, config)
     n_steps = config.n_steps
     stride = config.sample_stride
     if n_steps % stride != 0:
         raise ValueError("t_final must be a whole number of sample periods tau")
-    n_traj = config.n_trajectories
     n_samples = n_steps // stride
 
-    dt = config.dt
-    amp = math.sqrt(spec.eta * spec.gamma)
-    amp_dt = amp * dt
-    noise_gain = 1.0 / (math.sqrt(spec.eta) * dt)
     c = np.repeat(_real_state(_initial_state(spec, config))[:, None], n_traj, axis=1)
     pe = np.empty((n_traj, n_samples + 1))
     pe[:, 0] = c[0]
     currents = np.empty((n_traj, n_samples))
-    buffers = _step_buffers(maps, n_traj)
 
     step = 0
-    for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(dt)):
+    for block in _noise_blocks(config.seed, n_traj, n_steps, math.sqrt(config.dt)):
         for dw in block:
-            s0 = _kraus_step(c, dw, amp_dt, maps, buffers)
-            if step % stride == 0:
-                currents[:, step // stride] = amp * s0 + noise_gain * dw
+            advance(c, dw, None if step % stride else currents[:, step // stride])
             step += 1
             if step % stride == 0:
                 pe[:, step // stride] = c[0]

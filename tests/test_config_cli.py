@@ -18,6 +18,10 @@ def write_config(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+RATE_KEYS = ("config keys 'gamma', 'eta_list', 'g', 'kappa' and 'r' give no finite "
+             "positive closed-form rates: ")
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -127,6 +131,10 @@ out_dir = elsewhere
         ("[ensemble]\nseed = -1\n", "must be an integer >= 0, got -1$"),
         ("[predictor]\nval_fraction = 1.0\n", "below 1"),
         ("[integration]\ndt = 0\n", "must be positive"),
+        # valid keys whose closed-form rates underflow or overflow
+        ("[physics]\ngamma = 1e-200\n", RATE_KEYS + "gamma_eff must be positive"),
+        ("[physics]\nkappa = 1e-320\n", RATE_KEYS + "cooperativity must be >= 0 and finite"),
+        ("[physics]\ng = 1e200\n", RATE_KEYS + "cooperativity must be >= 0 and finite"),
     ])
     def test_semantic_validation(self, tmp_path, snippet, complaint):
         path = write_config(tmp_path, snippet)
@@ -231,6 +239,16 @@ class TestCliSimulate:
         out = tmp_path / "res"
         assert main(["simulate", "--out", str(out), "--records", "-2"]) == 2
         assert "--records must be an integer >= 0, got -2" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_record_count_past_one_word_keys_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rejected before the ensemble allocates its arrays
+        def run_ensemble(*args):
+            raise AssertionError("reached before the record count was checked")
+        monkeypatch.setattr(cli, "run_ensemble", run_ensemble)
+        out = tmp_path / "res"
+        assert main(["simulate", "--out", str(out), "--records", "4294967297"]) == 2
+        assert "--records must be at most 2**32" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     def test_seed_override_controls_records(self, tmp_path):
@@ -472,6 +490,24 @@ class TestCliPlumbing:
         code = main(["compare", "--config", cfg, "--out", str(tmp_path / "res")])
         assert code == 2
         assert "'phi_lo' must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["rates", "simulate", "compare"])
+    @pytest.mark.parametrize("snippet", ["gamma = 1e-200", "kappa = 1e-320", "g = 1e200"])
+    def test_rates_out_of_float_range_exit_2(self, tmp_path, capsys, command, snippet):
+        # each exited 1 with a traceback from the rate table
+        cfg = write_config(tmp_path, f"[physics]\n{snippet}\n")
+        out = tmp_path / "res"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert RATE_KEYS in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_fit_out_of_float_range_exits_3(self, tmp_path, capsys):
+        # the sample period of 1e-202 us gave every fitted rate as inf, exit 0
+        cfg = write_config(tmp_path, "[physics]\ngamma = 1e200\n[integration]\nt_final = 20\n")
+        out = tmp_path / "res"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["rates", "--config", str(tmp_path / "absent.cfg"),

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestClosedFormFit:
         assert got.gamma_eff == pytest.approx(want.gamma_eff, rel=1e-12, abs=0.0)
         assert abs(got.rms_residual - want.rms_residual) <= 1e-12
         assert got.n_points_used == want.n_points_used
+
+    @pytest.mark.parametrize("fit", [fit_exponential, fit_exponential_offset])
+    def test_slope_out_of_range_raises(self, fit):
+        # sum(t~^2) underflows to 0 at this period: the slope was -inf, with a
+        # divide-by-zero warning, and gamma_eff inf
+        trace = PopulationTrace(1e-200, np.exp(-0.1 * np.arange(100)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="not finite"):
+                fit(trace)
 
     def test_memory_is_bounded(self, rng):
         # np.polyfit peaks above 8 copies of the fitted points

@@ -351,8 +351,8 @@ class TestStepMaps:
     @pytest.mark.parametrize("eta", [1.0, 0.6])
     @pytest.mark.parametrize("kind", [SchemeKind.NO_FEEDBACK, SchemeKind.WISEMAN_MILBURN])
     def test_rows_have_at_most_two_entries(self, kind, eta, phi):
-        # with two products per row no summation order can change a sum's
-        # rounding, so a lone trajectory repeats its batch column bit for bit
+        # the single-qubit maps split into two parts at most, so a step adds
+        # at most one part (the split is exact for any number of parts)
         spec = SchemeSpec(kind, gamma=GAMMA, eta=eta, phi_lo=phi,
                           lambda_gain=0.5 * math.sqrt(eta * GAMMA))
         for dt in (1e-4, 1e-3, 1e-2):
@@ -383,10 +383,29 @@ class TestStepMaps:
         assert maps.shape == (13, 4)
         assert np.array_equal(maps, whole_maps(nf_spec(eta=1.0), dt))
 
-    def test_rejects_rows_with_three_entries(self, monkeypatch):
-        monkeypatch.setattr(stochastic, "coordinate_matrix", lambda L: np.ones((4, 4)))
-        with pytest.raises(ValueError, match="nonzero entries"):
-            stochastic._step_maps.__wrapped__(nf_spec(eta=0.7), 0.01)
+    def test_rows_of_any_length_split_exactly(self, monkeypatch):
+        # dense maps have four entries in every row, so they split into four
+        # parts; each product entry is one rounded product and the parts are
+        # added in order, so a lone trajectory repeats its batch column (with
+        # all-ones maps every product is exact, and a dense product passes)
+        dense = np.arange(1.0, 17.0).reshape(4, 4) / 7.0
+        monkeypatch.setattr(stochastic, "coordinate_matrix", lambda L: dense)
+        spec, dt = nf_spec(eta=0.7), 0.01
+        parts = stochastic._step_maps.__wrapped__(spec, dt)
+        assert parts.shape == (4 * 13, 4)
+        assert np.count_nonzero(parts, axis=1).max() <= 1
+        whole = np.concatenate([dense, dense, dense, dense[:1] + dense[1:2]])
+        assert np.array_equal(parts.reshape(4, 13, 4).sum(axis=0), whole)
+        monkeypatch.setattr(stochastic, "_step_maps", lambda spec, dt: parts)
+        rng = np.random.default_rng(14)
+        for n in (3, 6000):
+            batch, dw = rng.uniform(0.1, 1.0, (4, n)), rng.normal(0.0, 0.1, n)
+            lone = batch[:, :1].copy()
+            currents, current = np.empty(n), np.empty(1)
+            stochastic._kraus_stepper(spec, dt, n)(batch, dw, currents)
+            stochastic._kraus_stepper(spec, dt, 1)(lone, dw[0], current)
+            assert np.array_equal(lone[:, 0], batch[:, 0])
+            assert current[0] == currents[0]
 
 
 class TestRunEnsemble:
@@ -663,10 +682,17 @@ class TestSubstreamSeeding:
             want = np.random.default_rng(sequence)
             assert np.array_equal(got.standard_normal(4), want.standard_normal(4))
 
-    def test_rejects_keys_past_one_word(self):
-        # trajectory 2**32 would key its stream with two 32-bit words
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            stochastic._substream_states(0, 2**32 + 1)
+    def test_rejects_keys_past_one_word(self, monkeypatch):
+        # trajectory 2**32 would key its stream with two 32-bit words; the
+        # count is checked before anything is allocated (the step's work
+        # array alone would take 650 GB), so neither stand-in is reached
+        def allocate(*args):
+            raise AssertionError("reached before the trajectory count was checked")
+        monkeypatch.setattr(stochastic, "_kraus_stepper", allocate)
+        monkeypatch.setattr(stochastic, "_initial_state", allocate)
+        cfg = TrajectoryConfig(dt=0.1, t_final=1.0, n_trajectories=2**32 + 1)
+        with pytest.raises(ValueError, match=r"n_trajectories must be at most 2\*\*32"):
+            run_ensemble(nf_spec(), cfg)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed"):
